@@ -115,8 +115,10 @@ class SymElement:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SymElement):
             return NotImplemented
-        if (self.q, self.n, self.basis) != (other.q, other.n, other.basis):
+        if (self.q, self.n) != (other.q, other.n):
             return False
+        if self.basis != other.basis:
+            return to_basis(self, "p_theta") == to_basis(other, "p_theta")
         for mp in self.coeffs.keys() | other.coeffs.keys():
             if self.coefficient(mp) != other.coefficient(mp):
                 return False
@@ -662,9 +664,10 @@ def circ_product(a: SymElement, b: SymElement) -> SymElement:
 
     Computed through the characteristic map: both factors are written in
     character-orbit power sums, where the product is concatenation of parts,
-    and the result is carried back to class indicators. Agreement with the
-    Ennola product is a theorem, and a genuine cross-check, because this
-    route never touches Hall polynomials.
+    and the result stays in that basis (``p_theta``); ``to_basis`` rewrites
+    it where another basis is wanted. Agreement with the Ennola product is a
+    theorem, and a genuine cross-check, because this route never touches
+    Hall polynomials.
     """
     if a.q != b.q:
         raise ValueError("mismatched q")
@@ -684,5 +687,4 @@ def circ_product(a: SymElement, b: SymElement) -> SymElement:
             )
             c1c, c2c = Cyclotomic.common(c1, c2)
             _acc(acc, merged, c1c * c2c)
-    product = SymElement(q, a.n + b.n, "p_theta", acc)
-    return to_basis(product, "pi")
+    return SymElement(q, a.n + b.n, "p_theta", acc)

@@ -85,6 +85,36 @@ def euler_phi(n: int) -> int:
     return len(cyclotomic_polynomial(n)) - 1
 
 
+def _mobius(n: int) -> int:
+    result = 1
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            result = -result
+        p += 1
+    if n > 1:
+        result = -result
+    return result
+
+
+@functools.cache
+def _trace_weights(n: int) -> tuple[Fraction, ...]:
+    """Weight i = Tr(zeta_n^i) / phi(n) for 0 <= i < phi(n), the trace down to Q.
+
+    With g = gcd(i, n), zeta_n^i is a primitive (n/g)-th root of unity, whose
+    trace is mu(n/g) phi(n)/phi(n/g). Dividing by phi(n) makes the trace of
+    a value the same at every conductor it can be written at.
+    """
+    out = []
+    for i in range(euler_phi(n)):
+        r = n // math.gcd(i, n)
+        out.append(Fraction(_mobius(r), euler_phi(r)))
+    return tuple(out)
+
+
 @functools.cache
 def _power_rows(n: int) -> tuple[tuple[int, ...], ...]:
     """Row e = integer coordinates of x^e modulo Phi_n, for 0 <= e < max(n, 2*phi(n) - 1)."""
@@ -188,6 +218,8 @@ class QPoly:
         return self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
+        if self.min_exp() == self.max_exp() == 0:
+            return hash(self.constant_value())
         return hash(self.coeffs)
 
     def shift(self, k: int) -> QPoly:
@@ -252,8 +284,10 @@ class Cyclotomic:
 
     Arithmetic requires both operands at the same conductor; ``lift`` and
     ``common`` move values between compatible conductors. Equality lifts to the
-    least common conductor, but hashing is per-conductor, so do not mix
-    conductors as keys of one dict.
+    least common conductor, and the hash depends on the value alone: a
+    rational value hashes as its Fraction, any value as its trace to Q divided
+    by the field degree, which lifting leaves unchanged. So equal values hash
+    equally at any conductor (Galois-conjugate values share a hash).
 
     >>> z = Cyclotomic.root(3)
     >>> z + z * z
@@ -395,7 +429,10 @@ class Cyclotomic:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
-        return hash((self.conductor, self.num, self.den))
+        if self.is_rational():
+            return hash(Fraction(self.num[0], self.den))
+        weights = _trace_weights(self.conductor)
+        return hash(sum(w * c for w, c in zip(weights, self.num) if c) / self.den)
 
     def __bool__(self) -> bool:
         return any(self.num)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .exactnum import Cyclotomic
+from .exactnum import Cyclotomic, _mobius
 
 
 def level_order(q: int, m: int) -> int:
@@ -25,21 +25,6 @@ def level_order(q: int, m: int) -> int:
 
 def _divisors(m: int) -> tuple[int, ...]:
     return tuple(d for d in range(1, m + 1) if m % d == 0)
-
-
-def _mobius(n: int) -> int:
-    result = 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            result = -result
-        p += 1
-    if n > 1:
-        result = -result
-    return result
 
 
 @dataclass(frozen=True)

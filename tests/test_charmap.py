@@ -369,6 +369,49 @@ def test_power_theta_expansion_matches_row() -> None:
     assert to_basis(power_theta(lam), "s_theta").basis == "s_theta"
 
 
+def test_circ_product_stays_in_power_sums() -> None:
+    q = 2
+    a = pi_class(identity_class(q, 1))
+    b = pi_class(identity_class(q, 2))
+    prod = circ_product(a, b)
+    assert prod.basis == "p_theta"
+    assert prod.n == 3
+    star = star_product(a, b)
+    assert star.basis == "pi"
+    assert prod == star and star == prod
+    # products and inner products take the power-sum element as it is
+    assert star_product(prod, a) == star_product(star, a)
+    assert star_product(a, prod) == star_product(a, star)
+    assert inner_product(prod, prod) == inner_product(star, star)
+    assert inner_product(prod, star) == inner_product(star, star)
+
+
+def test_equality_across_bases() -> None:
+    q = 2
+    for n in (1, 2):
+        for mu in enumerate_mp(q, "phi", n):
+            elem = pi_class(mu)
+            assert elem == to_basis(elem, "p_theta")
+            assert to_basis(elem, "p_theta") == elem
+            assert elem == to_basis(elem, "s_theta")
+            assert elem == ch(elem)
+    first, second = enumerate_mp(q, "phi", 2)[:2]
+    assert pi_class(first) != to_basis(pi_class(second), "p_theta")
+    assert to_basis(pi_class(first), "s_theta") != pi_class(second)
+    lam = all_ones_label(q, 2)
+    assert schur(lam) != power_theta(lam)
+    assert schur(lam) == to_basis(schur(lam), "P")
+
+
+def test_equality_needs_matching_q_and_degree() -> None:
+    one = pi_class(identity_class(2, 1))
+    assert one != to_basis(pi_class(identity_class(3, 1)), "p_theta")
+    assert one != to_basis(pi_class(identity_class(2, 2)), "p_theta")
+    assert SymElement(2, 1, "pi", {}) != SymElement(2, 2, "p_theta", {})
+    assert SymElement(2, 1, "pi", {}) != SymElement(3, 1, "p_theta", {})
+    assert SymElement(2, 1, "pi", {}) == SymElement(2, 1, "p_theta", {})
+
+
 def test_parallel_table_matches_serial() -> None:
     serial = char_table(2, 2)
     parallel = char_table(2, 2, processes=2)

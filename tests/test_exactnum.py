@@ -21,6 +21,14 @@ def test_qpoly_eval_basic():
     assert qpoly_eval(QPoly({0: 1}), 7) == 1
 
 
+def test_qpoly_constants_hash_as_numbers():
+    assert QPoly() == 0 and hash(QPoly()) == hash(0)
+    assert QPoly({0: Fraction(3, 2)}) == Fraction(3, 2)
+    assert hash(QPoly({0: Fraction(3, 2)})) == hash(Fraction(3, 2))
+    assert hash(QPoly.const(7)) == hash(7)
+    assert QPoly.gen() != 1
+
+
 def test_qpoly_eval_laurent():
     p = QPoly({-2: 3, 1: Fraction(1, 2)})
     assert p.eval(2) == Fraction(3, 4) + 1
@@ -137,6 +145,28 @@ def test_conductor_mismatch_and_lift():
         z4.lift(9)
     # equality across conductors goes through the common lift
     assert Cyclotomic.from_rational(5, 3) == Cyclotomic.from_rational(5, 4)
+
+
+def test_hash_follows_equality_across_conductors():
+    rng = random.Random(5)
+    for n in (1, 3, 4, 5, 8, 9, 12):
+        d = euler_phi(n)
+        for _ in range(6):
+            a = Cyclotomic(n, [rng.randint(-4, 4) for _ in range(d)], rng.randint(1, 5))
+            for step in (2, 3, 5):
+                b = a.lift(n * step)
+                assert a == b and hash(a) == hash(b)
+    assert Cyclotomic.from_rational(1, 3) == Cyclotomic.from_rational(1)
+    assert hash(Cyclotomic.from_rational(1, 3)) == hash(Cyclotomic.from_rational(1))
+    assert hash(Cyclotomic.from_rational(1, 5)) == hash(1)
+    third = Fraction(-2, 3)
+    assert hash(Cyclotomic.from_rational(third, 7)) == hash(third)
+    z5 = Cyclotomic.root(5)
+    assert hash(z5 + z5**2 + z5**3 + z5**4) == hash(-1)
+    z3 = Cyclotomic.root(3)
+    for other in (Cyclotomic.root(12, 4), Cyclotomic.root(36, 12), Cyclotomic.root(9, 3)):
+        assert other == z3 and hash(other) == hash(z3)
+    assert len({z3, Cyclotomic.root(12, 4), z3 * z3 * z3, Cyclotomic.from_rational(1, 4)}) == 2
 
 
 def test_rational_detection_and_json():
