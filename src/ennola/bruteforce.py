@@ -280,12 +280,6 @@ def field(p: int, e: int) -> GF:
     raise AssertionError("no primitive modulus found")
 
 
-def _fp_trim(a: list[int]) -> IntPoly:
-    while a and a[-1] == 0:
-        a.pop()
-    return tuple(a)
-
-
 def _fp_mul(F: GF, a: IntPoly, b: IntPoly) -> IntPoly:
     if not a or not b:
         return ()
@@ -295,16 +289,16 @@ def _fp_mul(F: GF, a: IntPoly, b: IntPoly) -> IntPoly:
             for j, y in enumerate(b):
                 if y:
                     out[i + j] = F.add(out[i + j], F.mul(x, y))
-    return _fp_trim(out)
+    return _ptrim(out)
 
 
 def _fp_add(F: GF, a: IntPoly, b: IntPoly) -> IntPoly:
     out = [F.add(x, y) for x, y in itertools.zip_longest(a, b, fillvalue=0)]
-    return _fp_trim(out)
+    return _ptrim(out)
 
 
 def _fp_scale(F: GF, a: IntPoly, c: int) -> IntPoly:
-    return _fp_trim([F.mul(x, c) for x in a])
+    return _ptrim([F.mul(x, c) for x in a])
 
 
 def _fp_divmod(F: GF, a: IntPoly, b: IntPoly) -> tuple[IntPoly, IntPoly]:
@@ -320,7 +314,7 @@ def _fp_divmod(F: GF, a: IntPoly, b: IntPoly) -> tuple[IntPoly, IntPoly]:
             quot[i - len(b) + 1] = f
             for j, y in enumerate(b):
                 rem[i - len(b) + 1 + j] = F.add(rem[i - len(b) + 1 + j], F.neg(F.mul(f, y)))
-    return _fp_trim(quot), _fp_trim(rem)
+    return _ptrim(quot), _ptrim(rem)
 
 
 def _fp_eval(F: GF, a: IntPoly, x: int) -> int:
@@ -890,7 +884,7 @@ def twisted_fs(
     for i, label in enumerate(table.rows):
         total = Cyclotomic.zero(1)
         for mu, c in counts.items():
-            total = _cyc_add(total, table.values[i][col[mu]] * Fraction(c))
+            total = total + table.values[i][col[mu]] * Fraction(c)
         total = total * Fraction(1, order)
         if not total.is_rational():
             raise AssertionError("indicator is not rational")
@@ -908,8 +902,3 @@ def twisted_fs(
     if weighted != fixed:
         raise AssertionError("indicator sum does not count the twisted fixed points")
     return out
-
-
-def _cyc_add(a: Cyclotomic, b: Cyclotomic) -> Cyclotomic:
-    a, b = Cyclotomic.common(a, b)
-    return a + b

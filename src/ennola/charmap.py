@@ -20,7 +20,6 @@ characters, Green polynomial evaluations, and the orbit transform).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -57,14 +56,9 @@ def conductor(q: int, n: int) -> int:
     return math.lcm(*(level_order(q, m) for m in range(1, n + 1))) if n else 1
 
 
-def _cadd(a: Cyclotomic, b: Cyclotomic) -> Cyclotomic:
-    x, y = Cyclotomic.common(a, b)
-    return x + y
-
-
 def _acc(table: dict[MultiPartition, Cyclotomic], key: MultiPartition, val: Cyclotomic) -> None:
     prev = table.get(key)
-    table[key] = val if prev is None else _cadd(prev, val)
+    table[key] = val if prev is None else prev + val
 
 
 @dataclass(frozen=True, eq=False)
@@ -313,11 +307,7 @@ def _expand_linear(elem: SymElement, items_of, out_basis: str) -> SymElement:
     acc: dict[MultiPartition, Cyclotomic] = {}
     for mp, c in elem.coeffs.items():
         for target, v in items_of(mp):
-            if isinstance(v, Cyclotomic):
-                vc, cc = Cyclotomic.common(v, c)
-                _acc(acc, target, vc * cc)
-            else:
-                _acc(acc, target, c * v)
+            _acc(acc, target, c * v)
     return SymElement(elem.q, elem.n, out_basis, acc)
 
 
@@ -491,32 +481,18 @@ def char_table_row(label: CharLabel, cols: tuple[MultiPartition, ...]) -> tuple[
     return tuple(row.coefficient(mu).lift(big) for mu in cols)
 
 
-def _row_task(args: tuple[int, CharLabel, tuple[MultiPartition, ...]]) -> tuple[int, tuple[Cyclotomic, ...]]:
-    index, label, cols = args
-    return index, char_table_row(label, cols)
-
-
-def char_table(n: int, q: int, processes: int = 0) -> CharTable:
+def char_table(n: int, q: int) -> CharTable:
     """Character table of the rank-n unitary group over the q^2 field.
 
-    Rows and columns follow the canonical multipartition order. Rows are
-    independent; with processes > 1 they are computed in a process pool and
-    assembled in order.
+    Rows and columns follow the canonical multipartition order.
     """
     if n < 1:
         raise ValueError("rank must be positive")
     rows = tuple(CharLabel(lam) for lam in enumerate_mp(q, "theta", n))
     cols = tuple(enumerate_mp(q, "phi", n))
-    if processes and processes > 1:
-        tasks = [(i, label, cols) for i, label in enumerate(rows)]
-        values: list[tuple[Cyclotomic, ...]] = [()] * len(rows)
-        with ProcessPoolExecutor(max_workers=processes) as pool:
-            for index, row in pool.map(_row_task, tasks):
-                values[index] = row
-    else:
-        values = [char_table_row(label, cols) for label in rows]
+    values = tuple(char_table_row(label, cols) for label in rows)
     sizes = tuple(class_size(mu) for mu in cols)
-    return CharTable(n, q, rows, cols, tuple(values), sizes)
+    return CharTable(n, q, rows, cols, values, sizes)
 
 
 def dl_character(nu: MultiPartition, check: bool = True) -> SymElement:
@@ -607,8 +583,7 @@ def inner_product(a: SymElement, b: SymElement) -> Cyclotomic:
     for mu, u in left.coeffs.items():
         v = right.coeffs.get(mu)
         if v:
-            u, v = Cyclotomic.common(u, v)
-            total = _cadd(total, u * v.conj() * Fraction(1, centralizer_order(mu)))
+            total = total + u * v.conj() * Fraction(1, centralizer_order(mu))
     return total
 
 
@@ -652,8 +627,7 @@ def star_product(a: SymElement, b: SymElement) -> SymElement:
     acc: dict[MultiPartition, Cyclotomic] = {}
     for mu1, c1 in left.coeffs.items():
         for mu2, c2 in right.coeffs.items():
-            c1c, c2c = Cyclotomic.common(c1, c2)
-            c12 = c1c * c2c
+            c12 = c1 * c2
             for lam, g in _hall_combine_items(mu1, mu2):
                 _acc(acc, lam, c12 * g)
     return SymElement(a.q, a.n + b.n, "pi", acc)
@@ -685,6 +659,5 @@ def circ_product(a: SymElement, b: SymElement) -> SymElement:
                 "theta", q,
                 tuple((orb, tuple(sorted(ps, reverse=True))) for orb, ps in parts.items()),
             )
-            c1c, c2c = Cyclotomic.common(c1, c2)
-            _acc(acc, merged, c1c * c2c)
+            _acc(acc, merged, c1 * c2)
     return SymElement(q, a.n + b.n, "p_theta", acc)

@@ -23,6 +23,7 @@ from fractions import Fraction
 from .bruteforce import (
     DEFAULT_MAX_ORDER,
     SUPPORTED,
+    _prime_power,
     class_census,
     symmetric_count,
     twisted_fs,
@@ -44,7 +45,7 @@ from .multipartitions import (
     enumerate_mp,
     unitary_group_order,
 )
-from .orbits import enumerate_orbits, level_order, orbit_count
+from .orbits import _divisors, enumerate_orbits, level_order, orbit_count
 from .reptables import (
     degree_hook,
     degree_records,
@@ -245,7 +246,7 @@ def _cmd_classes(args: argparse.Namespace) -> int:
 
 
 def _cmd_chartable(args: argparse.Namespace) -> int:
-    table = char_table(args.n, args.q, processes=args.parallel)
+    table = char_table(args.n, args.q)
     if args.format == "json":
         _emit_json({"schema": SCHEMA, "command": "chartable", **table.to_json()})
         return 0
@@ -464,10 +465,6 @@ class _Unsupported(Exception):
     """A check needs the brute-force model at a size it does not cover."""
 
 
-def _divisors(m: int) -> list[int]:
-    return [d for d in range(1, m + 1) if m % d == 0]
-
-
 def _check_divsum(args: argparse.Namespace) -> tuple[bool, str]:
     top = args.m if args.m is not None else 8
     q = args.q
@@ -506,7 +503,7 @@ def _check_class_equation(args: argparse.Namespace) -> tuple[bool, str]:
 
 def _check_orthogonality(args: argparse.Namespace) -> tuple[bool, str]:
     n, q = args.n, args.q
-    table = char_table(n, q, processes=args.parallel)
+    table = char_table(n, q)
     order = unitary_group_order(q, n)
     m = len(table.rows)
     for i in range(m):
@@ -514,9 +511,7 @@ def _check_orthogonality(args: argparse.Namespace) -> tuple[bool, str]:
             acc = Cyclotomic.from_rational(0)
             for k in range(len(table.cols)):
                 term = table.values[i][k] * table.values[j][k].conj()
-                term = term * table.class_sizes[k]
-                a, b = Cyclotomic.common(acc, term)
-                acc = a + b
+                acc = acc + term * table.class_sizes[k]
             expected = order if i == j else 0
             if acc != expected:
                 return (
@@ -644,18 +639,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # -------------------------------------------------------------------- parser
 
 
-def _prime_power_base(q: int) -> int:
-    if q < 2:
-        raise ValueError(f"q must be a prime power at least 2, got {q}")
-    p = next(d for d in range(2, q + 1) if q % d == 0)
-    rest = q
-    while rest % p == 0:
-        rest //= p
-    if rest != 1:
-        raise ValueError(f"q must be a prime power, got {q}")
-    return p
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ennola",
@@ -685,7 +668,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chartable", help="full character table, exact entries")
     add_common(p, "n", "q", "format")
-    p.add_argument("--parallel", type=int, default=0, help="row worker processes")
     p.set_defaults(func=_cmd_chartable)
 
     p = sub.add_parser("degrees", help="character degree records")
@@ -706,7 +688,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=2, help="matrix rank")
     p.add_argument("--q", type=int, default=2, help="base field order")
     p.add_argument("--m", type=int, help="total size for size-graded checks")
-    p.add_argument("--parallel", type=int, default=0, help="row worker processes")
     p.add_argument("--max-group-order", type=int, default=DEFAULT_MAX_ORDER)
     p.set_defaults(func=_cmd_verify)
 
@@ -721,7 +702,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _validate(args: argparse.Namespace) -> None:
     if getattr(args, "q", None) is not None:
-        _prime_power_base(args.q)
+        _prime_power(args.q)
     for name in ("n", "m"):
         value = getattr(args, name, None)
         if value is not None and value < 1:
@@ -729,8 +710,6 @@ def _validate(args: argparse.Namespace) -> None:
     r = getattr(args, "r", None)
     if r is not None and r < 0:
         raise ValueError(f"r must be nonnegative, got {r}")
-    if getattr(args, "parallel", 0) and args.parallel < 0:
-        raise ValueError(f"parallel must be nonnegative, got {args.parallel}")
     if getattr(args, "max_group_order", 1) < 1:
         raise ValueError("max-group-order must be positive")
     if getattr(args, "command", "") == "decompose":

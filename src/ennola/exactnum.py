@@ -18,16 +18,9 @@ __all__ = [
     "Rational",
     "QPoly",
     "Cyclotomic",
-    "ConductorError",
-    "qpoly_eval",
-    "cyclo_arith",
     "cyclotomic_polynomial",
     "euler_phi",
 ]
-
-
-class ConductorError(ValueError):
-    """Raised when two cyclotomic values with different conductors are combined."""
 
 
 def _divexact_int_poly(num: list[int], den: list[int]) -> list[int]:
@@ -272,28 +265,27 @@ class QPoly:
         return "QPoly(" + " + ".join(parts) + ")"
 
 
-def qpoly_eval(p: QPoly, v: Fraction | int) -> Fraction:
-    """Exact evaluation of a Laurent polynomial at a nonzero rational (zero OK without negative exponents)."""
-    return p.eval(v)
-
-
 @dataclasses.dataclass(init=False, frozen=True)
 class Cyclotomic:
     """Element of Q(zeta_N), stored as integer coordinates over 1, zeta, ..., zeta^{phi(N)-1}
     with one positive common denominator.
 
-    Arithmetic requires both operands at the same conductor; ``lift`` and
-    ``common`` move values between compatible conductors. Equality lifts to the
-    least common conductor, and the hash depends on the value alone: a
-    rational value hashes as its Fraction, any value as its trace to Q divided
-    by the field degree, which lifting leaves unchanged. So equal values hash
-    equally at any conductor (Galois-conjugate values share a hash).
+    The conductor N is a detail of how a value is written. Sums, differences,
+    products and equality of values at different conductors lift both
+    operands to the least common multiple, where the result lives; ``lift``
+    is needed only to fix the conductor a value is written at, for output.
+    The hash depends on the value alone: a rational value hashes as its
+    Fraction, any value as its trace to Q divided by the field degree, which
+    lifting leaves unchanged. So equal values hash equally at any conductor
+    (Galois-conjugate values share a hash).
 
     >>> z = Cyclotomic.root(3)
     >>> z + z * z
     Cyclotomic(3, (-1, 0), 1)
     >>> z ** 3 == 1
     True
+    >>> (z * Cyclotomic.root(4)).conductor
+    12
     """
 
     conductor: int
@@ -333,20 +325,19 @@ class Cyclotomic:
         rows = _power_rows(conductor)
         return Cyclotomic(conductor, rows[power % conductor])
 
-    def _coerce(self, other: Cyclotomic | int | Fraction) -> Cyclotomic:
-        if isinstance(other, Cyclotomic):
-            if other.conductor != self.conductor:
-                raise ConductorError(
-                    f"conductor mismatch: {self.conductor} vs {other.conductor}"
-                )
-            return other
-        return Cyclotomic.from_rational(other, self.conductor)
+    def _align(self, other: Cyclotomic | int | Fraction) -> tuple[Cyclotomic, Cyclotomic]:
+        """Both operands written at one conductor, the lcm of the two."""
+        if not isinstance(other, Cyclotomic):
+            return self, Cyclotomic.from_rational(other, self.conductor)
+        if other.conductor == self.conductor:
+            return self, other
+        m = math.lcm(self.conductor, other.conductor)
+        return self.lift(m), other.lift(m)
 
     def __add__(self, other: Cyclotomic | int | Fraction) -> Cyclotomic:
-        other = self._coerce(other)
-        den = self.den * other.den
-        num = [a * other.den + b * self.den for a, b in zip(self.num, other.num)]
-        return Cyclotomic(self.conductor, num, den)
+        a, b = self._align(other)
+        num = [x * b.den + y * a.den for x, y in zip(a.num, b.num)]
+        return Cyclotomic(a.conductor, num, a.den * b.den)
 
     __radd__ = __add__
 
@@ -354,7 +345,7 @@ class Cyclotomic:
         return Cyclotomic(self.conductor, [-c for c in self.num], self.den)
 
     def __sub__(self, other: Cyclotomic | int | Fraction) -> Cyclotomic:
-        return self + (-self._coerce(other))
+        return self + (-other)
 
     def __rsub__(self, other: int | Fraction) -> Cyclotomic:
         return (-self) + other
@@ -367,27 +358,26 @@ class Cyclotomic:
                 [c * other.numerator for c in self.num],
                 self.den * other.denominator,
             )
-        other = self._coerce(other)
-        if other.is_rational():
-            return self * Fraction(other.num[0], other.den)
-        if self.is_rational():
-            return other * Fraction(self.num[0], self.den)
-        a, b = self.num, other.num
-        d = len(a)
+        a, b = self._align(other)
+        if b.is_rational():
+            return a * Fraction(b.num[0], b.den)
+        if a.is_rational():
+            return b * Fraction(a.num[0], a.den)
+        d = len(a.num)
         conv = [0] * (2 * d - 1)
-        for i, ai in enumerate(a):
+        for i, ai in enumerate(a.num):
             if ai:
-                for j, bj in enumerate(b):
+                for j, bj in enumerate(b.num):
                     conv[i + j] += ai * bj
         num = conv[:d]
-        rows = _power_rows(self.conductor)
+        rows = _power_rows(a.conductor)
         for e in range(d, 2 * d - 1):
             c = conv[e]
             if c:
                 row = rows[e]
                 for i in range(d):
                     num[i] += c * row[i]
-        return Cyclotomic(self.conductor, num, self.den * other.den)
+        return Cyclotomic(a.conductor, num, a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -419,14 +409,10 @@ class Cyclotomic:
         return Cyclotomic(n, num, self.den)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = Cyclotomic.from_rational(other, self.conductor)
-        if not isinstance(other, Cyclotomic):
+        if not isinstance(other, (Cyclotomic, int, Fraction)):
             return NotImplemented
-        if other.conductor != self.conductor:
-            m = math.lcm(self.conductor, other.conductor)
-            return self.lift(m) == other.lift(m)
-        return self.num == other.num and self.den == other.den
+        a, b = self._align(other)
+        return a.num == b.num and a.den == b.den
 
     def __hash__(self) -> int:
         if self.is_rational():
@@ -450,7 +436,7 @@ class Cyclotomic:
         if conductor == self.conductor:
             return self
         if conductor % self.conductor != 0:
-            raise ConductorError(f"{self.conductor} does not divide {conductor}")
+            raise ValueError(f"{self.conductor} does not divide {conductor}")
         step = conductor // self.conductor
         rows = _power_rows(conductor)
         d = euler_phi(conductor)
@@ -461,12 +447,6 @@ class Cyclotomic:
                 for j in range(d):
                     num[j] += c * row[j]
         return Cyclotomic(conductor, num, self.den)
-
-    @staticmethod
-    def common(a: Cyclotomic, b: Cyclotomic) -> tuple[Cyclotomic, Cyclotomic]:
-        """Lift both values to their least common conductor."""
-        m = math.lcm(a.conductor, b.conductor)
-        return a.lift(m), b.lift(m)
 
     def to_fractions(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(c, self.den) for c in self.num)
@@ -484,18 +464,3 @@ class Cyclotomic:
 
     def __repr__(self) -> str:
         return f"Cyclotomic({self.conductor}, {self.num}, {self.den})"
-
-
-def cyclo_arith(
-    a: Cyclotomic, b: Cyclotomic | None, op: str
-) -> Cyclotomic | bool:
-    """Dispatch {add, mul, conj, eq} on cyclotomic values sharing a conductor."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "conj":
-        return a.conj()
-    if op == "eq":
-        return a == b
-    raise ValueError(f"unknown op {op!r}")

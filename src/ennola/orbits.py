@@ -147,12 +147,6 @@ def enumerate_orbits(q: int, kind: str, max_size: int) -> list[OrbitId]:
     return [OrbitId(kind, q, m, k) for m, k in _enumerate_residues(q, max_size)]
 
 
-def f_of_x(x: CyclicElt) -> tuple[OrbitId, int]:
-    """Point orbit through x together with its degree d (the orbit size)."""
-    orb = orbit_of("phi", x)
-    return orb, orb.size
-
-
 def char_eval(xi: CyclicElt, x: CyclicElt) -> Cyclotomic:
     """Pair a level-r character with a level-m point, r dividing m.
 
@@ -186,8 +180,8 @@ def _transform_items(phi: OrbitId, n: int) -> tuple[tuple[OrbitId, int, Cyclotom
     acc: dict[tuple[OrbitId, int], Cyclotomic] = {}
     for k in range(nm):
         x = CyclicElt(q, m, k)
-        orb, d = f_of_x(x)
-        key = (orb, m // d)
+        orb = orbit_of("phi", x)
+        key = (orb, m // orb.size)
         val = char_eval(xi, x)
         if sign < 0:
             val = -val

@@ -412,14 +412,6 @@ def test_equality_needs_matching_q_and_degree() -> None:
     assert SymElement(2, 1, "pi", {}) == SymElement(2, 1, "p_theta", {})
 
 
-def test_parallel_table_matches_serial() -> None:
-    serial = char_table(2, 2)
-    parallel = char_table(2, 2, processes=2)
-    assert serial.rows == parallel.rows
-    assert serial.cols == parallel.cols
-    assert serial.values == parallel.values
-
-
 def test_table_json_shape() -> None:
     table = char_table(1, 2)
     blob = table.to_json()

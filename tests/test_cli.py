@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 from fractions import Fraction
@@ -79,6 +80,19 @@ def test_chartable_byte_identical_reruns(capsys):
     _, first, _ = run(capsys, "chartable", "--n", "2", "--q", "2")
     _, second, _ = run(capsys, "chartable", "--n", "2", "--q", "2")
     assert first == second
+
+
+def test_chartable_json_stdout_is_pinned(capsys):
+    # the document carries each value's conductor ("N"), so this also pins
+    # the conductor at which every entry is written
+    code, out, _ = run(capsys, "chartable", "--n", "3", "--q", "2", "--format", "json")
+    assert code == 0
+    data = out.encode()
+    assert len(data) == 236200
+    assert (
+        hashlib.sha256(data).hexdigest()
+        == "e5c5cb7d733a17ea7c90823a2caa02b0dc105c46374100b9307b099dd8d88101"
+    )
 
 
 def test_chartable_csv_grid(capsys):
@@ -264,6 +278,8 @@ def test_verify_converts_internal_assertions_to_fail(capsys, monkeypatch):
     "argv",
     [
         ["classes", "--n", "2", "--q", "6"],
+        ["classes", "--n", "2", "--q", "0"],
+        ["classes", "--n", "2", "--q", "12"],
         ["classes", "--n", "0", "--q", "2"],
         ["chartable", "--n", "1", "--q", "1"],
         ["bruteforce", "--n", "4", "--q", "2"],

@@ -1,24 +1,19 @@
 import math
+import operator
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ennola.exactnum import (
-    ConductorError,
-    Cyclotomic,
-    QPoly,
-    cyclo_arith,
-    cyclotomic_polynomial,
-    euler_phi,
-    qpoly_eval,
-)
+from ennola.exactnum import Cyclotomic, QPoly, cyclotomic_polynomial, euler_phi
 
 
 def test_qpoly_eval_basic():
-    assert qpoly_eval(QPoly({0: 1, 1: -1}), -2) == 3
-    assert qpoly_eval(QPoly({2: 1, 1: -1}), -2) == 6
-    assert qpoly_eval(QPoly({0: 1}), 7) == 1
+    assert QPoly({0: 1, 1: -1}).eval(-2) == 3
+    assert QPoly({2: 1, 1: -1}).eval(-2) == 6
+    assert QPoly({0: 1}).eval(7) == 1
 
 
 def test_qpoly_constants_hash_as_numbers():
@@ -93,9 +88,9 @@ def test_zeta_basics():
     assert z3 * (z3 * z3) == 1
     assert Cyclotomic.root(9).conj() == Cyclotomic.root(9, 8)
     assert Cyclotomic.root(2) == -1
-    assert cyclo_arith(z3, z3 * z3, "mul") == Cyclotomic.from_rational(1, 3)
-    assert cyclo_arith(z3, None, "conj") == Cyclotomic.root(3, 2)
-    assert cyclo_arith(z3, z3, "eq") is True
+    assert z3 * (z3 * z3) == Cyclotomic.from_rational(1, 3)
+    assert z3.conj() == Cyclotomic.root(3, 2)
+    assert (z3 == Cyclotomic.root(3, 4)) is True
 
 
 def test_zeta_order_reduction():
@@ -132,16 +127,25 @@ def test_conj_is_ring_involution():
         assert norm == norm.conj()
 
 
+def _parts(v: Cyclotomic) -> tuple[int, tuple[int, ...], int]:
+    """The stored form, compared without going through ``__eq__``."""
+    return v.conductor, v.num, v.den
+
+
 def test_conductor_mismatch_and_lift():
     z3, z4 = Cyclotomic.root(3), Cyclotomic.root(4)
-    with pytest.raises(ConductorError):
-        z3 * z4
-    a, b = Cyclotomic.common(z3, z4)
+    # mixed conductors are combined at the lcm, here 12
+    assert _parts(z3 * z4) == _parts(Cyclotomic.root(12, 7))
+    assert _parts(z3 + z4) == _parts(Cyclotomic.root(12, 4) + Cyclotomic.root(12, 3))
+    assert _parts(z4 - z3) == _parts(Cyclotomic.root(12, 3) - Cyclotomic.root(12, 4))
+    # a rational operand at another conductor still moves the result to the lcm
+    assert _parts(z3 * Cyclotomic.from_rational(2, 4)) == _parts(Cyclotomic.root(12, 4) * 2)
+    a, b = z3.lift(12), z4.lift(12)
     assert a.conductor == b.conductor == 12
     assert a == Cyclotomic.root(12, 4)
     assert b == Cyclotomic.root(12, 3)
     assert z3.lift(9) == Cyclotomic.root(9, 3)
-    with pytest.raises(ConductorError):
+    with pytest.raises(ValueError):
         z4.lift(9)
     # equality across conductors goes through the common lift
     assert Cyclotomic.from_rational(5, 3) == Cyclotomic.from_rational(5, 4)
@@ -184,3 +188,61 @@ def test_rational_detection_and_json():
 def test_approx_embedding():
     z8 = Cyclotomic.root(8)
     assert abs(z8.approx() - complex(math.sqrt(0.5), math.sqrt(0.5))) < 1e-12
+
+
+# ------------------------------------------------ mixed-conductor properties
+
+CONDUCTORS = (1, 3, 4, 5, 8, 9, 12, 15)
+
+
+@st.composite
+def cyclotomics(draw) -> Cyclotomic:
+    n = draw(st.sampled_from(CONDUCTORS))
+    d = euler_phi(n)
+    num = draw(st.lists(st.integers(-6, 6), min_size=d, max_size=d))
+    return Cyclotomic(n, num, draw(st.integers(1, 6)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(cyclotomics(), cyclotomics(), st.sampled_from((operator.add, operator.sub, operator.mul)))
+def test_mixed_conductor_ops_live_at_lcm(a, b, op):
+    m = math.lcm(a.conductor, b.conductor)
+    out = op(a, b)
+    assert out.conductor == m
+    assert _parts(out) == _parts(op(a.lift(m), b.lift(m)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(cyclotomics(), st.sampled_from((1, 2, 3, 5)))
+def test_conj_commutes_with_lift(a, step):
+    m = a.conductor * step
+    assert _parts(a.lift(m).conj()) == _parts(a.conj().lift(m))
+
+
+@settings(max_examples=60, deadline=None)
+@given(cyclotomics(), cyclotomics())
+def test_equal_values_hash_alike_across_conductors(a, c):
+    b = (a + c) - c
+    assert b.conductor == math.lcm(a.conductor, c.conductor)
+    assert a == b and hash(a) == hash(b)
+    if a == c:
+        assert hash(a) == hash(c)
+
+
+@settings(max_examples=30, deadline=None)
+@given(cyclotomics(), cyclotomics())
+def test_mixed_conductor_product_matches_sympy(a, b):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    m = math.lcm(a.conductor, b.conductor)
+
+    def at_m(v: Cyclotomic):
+        step = m // v.conductor
+        return sum(sympy.Rational(c, v.den) * x ** (i * step) for i, c in enumerate(v.num))
+
+    reduced = sympy.rem(sympy.expand(at_m(a) * at_m(b)), sympy.cyclotomic_poly(m, x), x)
+    poly = sympy.Poly(reduced, x)
+    expect = [poly.coeff_monomial(x**i) for i in range(euler_phi(m))]
+    out = a * b
+    assert out.conductor == m
+    assert [sympy.Rational(c, out.den) for c in out.num] == expect

@@ -8,7 +8,6 @@ from ennola.orbits import (
     OrbitId,
     char_eval,
     enumerate_orbits,
-    f_of_x,
     level_order,
     orbit_count,
     orbit_of,
@@ -80,13 +79,11 @@ def test_orbit_id_validation():
 
 
 def test_f_of_x_examples():
-    orb, d = f_of_x(CyclicElt(2, 1, 0))
-    assert (orb.size, orb.residue, d) == (1, 0, 1)
+    orb = orbit_of("phi", CyclicElt(2, 1, 0))
+    assert (orb.size, orb.residue) == (1, 0)
     for k in (1, 2, 4, 5, 7, 8):  # order-9 residues at level 3
-        orb, d = f_of_x(CyclicElt(2, 3, k))
-        assert d == 3
-    orb, d = f_of_x(CyclicElt(2, 1, 1))
-    assert d == 1
+        assert orbit_of("phi", CyclicElt(2, 3, k)).size == 3
+    assert orbit_of("phi", CyclicElt(2, 1, 1)).size == 1
     # level-3 residue 3 is the embedded image of level-1 residue 1
     assert orbit_of("phi", CyclicElt(2, 3, 3)) == OrbitId("phi", 2, 1, 1)
     assert CyclicElt(2, 1, 1).embed(3) == CyclicElt(2, 3, 3)
@@ -98,7 +95,7 @@ def test_f_of_x_tiling():
         for m in range(1, 7):
             by_degree: dict[int, int] = {}
             for k in range(level_order(q, m)):
-                _, d = f_of_x(CyclicElt(q, m, k))
+                d = orbit_of("phi", CyclicElt(q, m, k)).size
                 assert m % d == 0
                 by_degree[d] = by_degree.get(d, 0) + 1
             for d in _divisors(m):
@@ -261,8 +258,8 @@ def test_transform_p_representative_independent():
         acc: dict = {}
         for k in range(level_order(2, m)):
             x = CyclicElt(2, m, k)
-            orb, d = f_of_x(x)
-            key = (orb, m // d)
+            orb = orbit_of("phi", x)
+            key = (orb, m // orb.size)
             val = char_eval(xi, x)
             acc[key] = acc[key] + val if key in acc else val
         alt = {key: v for key, v in acc.items() if v}
