@@ -98,9 +98,8 @@ def cyc_text(v: Cyclotomic) -> str:
     if v.is_rational():
         return str(v.rational_value())
     parts = []
-    for i, c in enumerate(v.to_fractions()):
-        if not c:
-            continue
+    for i, c in v.terms:
+        c = Fraction(c, v.den)
         if i == 0:
             body = str(abs(c))
         else:

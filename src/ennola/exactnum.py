@@ -73,9 +73,28 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(_divexact_int_poly(num, den))
 
 
+@functools.cache
 def euler_phi(n: int) -> int:
-    """Euler totient, read off as deg Phi_n."""
-    return len(cyclotomic_polynomial(n)) - 1
+    """Euler totient, the product of p^(k-1) (p-1) over the prime powers p^k of n.
+
+    >>> [euler_phi(n) for n in (1, 2, 12, 560)]
+    [1, 1, 4, 192]
+    """
+    if n < 1:
+        raise ValueError("conductor must be positive")
+    out = 1
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            out *= p - 1
+            while n % p == 0:
+                n //= p
+                out *= p
+        p += 1
+    if n > 1:
+        out *= n - 1
+    return out
 
 
 def _mobius(n: int) -> int:
@@ -109,18 +128,29 @@ def _trace_weights(n: int) -> tuple[Fraction, ...]:
 
 
 @functools.cache
-def _power_rows(n: int) -> tuple[tuple[int, ...], ...]:
-    """Row e = integer coordinates of x^e modulo Phi_n, for 0 <= e < max(n, 2*phi(n) - 1)."""
+def _power_rows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Row e = the nonzero (index, coefficient) pairs of x^e modulo Phi_n,
+    for 0 <= e < max(n, 2*phi(n) - 1).
+
+    Each row is the previous one shifted up by one, with x^phi(n) replaced
+    by x^phi(n) - Phi_n, so a row costs what its nonzero terms cost.
+    """
     phi = cyclotomic_polynomial(n)
     d = len(phi) - 1
+    low = [(i, c) for i, c in enumerate(phi[:d]) if c]
     rows = []
-    row = [0] * d
-    row[0] = 1
-    count = max(n, 2 * d - 1)
-    for _ in range(count):
-        rows.append(tuple(row))
-        top = row[d - 1]
-        row = [-top * phi[0]] + [row[i - 1] - top * phi[i] for i in range(1, d)]
+    row: dict[int, int] = {0: 1}
+    for _ in range(max(n, 2 * d - 1)):
+        rows.append(tuple(sorted(row.items())))
+        top = row.pop(d - 1, 0)
+        row = {i + 1: c for i, c in row.items()}
+        if top:
+            for i, c in low:
+                v = row.get(i, 0) - top * c
+                if v:
+                    row[i] = v
+                else:
+                    row.pop(i, None)
     return tuple(rows)
 
 
@@ -265,10 +295,39 @@ class QPoly:
         return "QPoly(" + " + ".join(parts) + ")"
 
 
-@dataclasses.dataclass(init=False, frozen=True)
+_setattr = object.__setattr__
+
+
+def _rational(v: int | Fraction) -> int | Fraction:
+    """An exact rational operand; ints and Fractions pass through unconverted."""
+    return v if isinstance(v, (int, Fraction)) else Fraction(v)
+
+
+def _reduced(n: int, powers) -> dict[int, int]:
+    """Coordinates of the sum of c x^e over the (e, c) pairs, modulo Phi_n.
+
+    Entries may be zero; the ``Cyclotomic`` constructor drops them.
+    """
+    rows = _power_rows(n)
+    acc: dict[int, int] = {}
+    get = acc.get
+    for e, c in powers:
+        for k, r in rows[e]:
+            acc[k] = get(k, 0) + c * r
+    return acc
+
+
+@dataclasses.dataclass(init=False, frozen=True, slots=True)
 class Cyclotomic:
-    """Element of Q(zeta_N), stored as integer coordinates over 1, zeta, ..., zeta^{phi(N)-1}
-    with one positive common denominator.
+    """Element of Q(zeta_N), stored sparsely: the nonzero integer coordinates
+    over the power basis 1, zeta, ..., zeta^{phi(N)-1}, as (index, coordinate)
+    pairs sorted by index, with one positive common denominator that shares
+    no factor with them.
+
+    So a value has one stored form at each conductor, and each operation
+    costs what the nonzero terms of its operands cost. The constructor takes
+    the coordinates either dense, as ``num`` reads them back, or as a
+    mapping from index to coordinate.
 
     The conductor N is a detail of how a value is written. Sums, differences,
     products and equality of values at different conductors lift both
@@ -282,6 +341,8 @@ class Cyclotomic:
     >>> z = Cyclotomic.root(3)
     >>> z + z * z
     Cyclotomic(3, (-1, 0), 1)
+    >>> (z + z * z).terms
+    ((0, -1),)
     >>> z ** 3 == 1
     True
     >>> (z * Cyclotomic.root(4)).conductor
@@ -289,60 +350,92 @@ class Cyclotomic:
     """
 
     conductor: int
-    num: tuple[int, ...]
+    terms: tuple[tuple[int, int], ...]
     den: int
 
-    def __init__(self, conductor: int, num: tuple[int, ...] | list[int], den: int = 1):
+    def __init__(
+        self, conductor: int, num: tuple[int, ...] | list[int] | dict[int, int], den: int = 1
+    ):
         d = euler_phi(conductor)
-        if len(num) != d:
-            raise ValueError(f"need {d} coordinates at conductor {conductor}, got {len(num)}")
-        if den == 0:
-            raise ZeroDivisionError("zero denominator")
-        if den < 0:
-            num, den = [-c for c in num], -den
-        g = math.gcd(den, *num)
-        if g > 1:
-            num = [c // g for c in num]
-            den //= g
-        object.__setattr__(self, "conductor", conductor)
-        object.__setattr__(self, "num", tuple(num))
-        object.__setattr__(self, "den", den)
+        if isinstance(num, dict):
+            terms = sorted([t for t in num.items() if t[1]])
+            if terms and (terms[0][0] < 0 or terms[-1][0] >= d):
+                raise ValueError(f"coordinate index out of range at conductor {conductor}")
+        else:
+            if len(num) != d:
+                raise ValueError(f"need {d} coordinates at conductor {conductor}, got {len(num)}")
+            terms = [(i, c) for i, c in enumerate(num) if c]
+        if den != 1:
+            if den == 0:
+                raise ZeroDivisionError("zero denominator")
+            if den < 0:
+                terms, den = [(i, -c) for i, c in terms], -den
+            g = math.gcd(den, *[c for _, c in terms])
+            if g > 1:
+                terms = [(i, c // g) for i, c in terms]
+                den //= g
+        _setattr(self, "conductor", conductor)
+        _setattr(self, "terms", tuple(terms))
+        _setattr(self, "den", den)
+
+    @property
+    def num(self) -> tuple[int, ...]:
+        """The dense coordinates, zeros included, built on each read."""
+        out = [0] * euler_phi(self.conductor)
+        for i, c in self.terms:
+            out[i] = c
+        return tuple(out)
 
     @staticmethod
     def zero(conductor: int = 1) -> Cyclotomic:
-        return Cyclotomic(conductor, [0] * euler_phi(conductor))
+        return Cyclotomic(conductor, {})
 
     @staticmethod
     def from_rational(v: Fraction | int, conductor: int = 1) -> Cyclotomic:
         v = Fraction(v)
-        num = [0] * euler_phi(conductor)
-        num[0] = v.numerator
-        return Cyclotomic(conductor, num, v.denominator)
+        return Cyclotomic(conductor, {0: v.numerator}, v.denominator)
 
     @staticmethod
     def root(conductor: int, power: int = 1) -> Cyclotomic:
         """zeta_N^power."""
-        rows = _power_rows(conductor)
-        return Cyclotomic(conductor, rows[power % conductor])
+        return Cyclotomic(conductor, dict(_power_rows(conductor)[power % conductor]))
 
-    def _align(self, other: Cyclotomic | int | Fraction) -> tuple[Cyclotomic, Cyclotomic]:
+    def _align(self, other: Cyclotomic) -> tuple[Cyclotomic, Cyclotomic]:
         """Both operands written at one conductor, the lcm of the two."""
-        if not isinstance(other, Cyclotomic):
-            return self, Cyclotomic.from_rational(other, self.conductor)
         if other.conductor == self.conductor:
             return self, other
         m = math.lcm(self.conductor, other.conductor)
         return self.lift(m), other.lift(m)
 
+    def _scaled(self, p: int, q: int = 1) -> Cyclotomic:
+        """This value times the rational p/q."""
+        if p == q == 1:
+            return self
+        return Cyclotomic(self.conductor, {i: c * p for i, c in self.terms}, self.den * q)
+
     def __add__(self, other: Cyclotomic | int | Fraction) -> Cyclotomic:
-        a, b = self._align(other)
-        num = [x * b.den + y * a.den for x, y in zip(a.num, b.num)]
-        return Cyclotomic(a.conductor, num, a.den * b.den)
+        if isinstance(other, Cyclotomic):
+            a, b = self._align(other)
+            bterms, bden = b.terms, b.den
+        else:
+            a, other = self, _rational(other)
+            bterms, bden = ((0, other.numerator),), other.denominator
+        den = a.den
+        if den == bden:
+            acc = dict(a.terms)
+            for i, c in bterms:
+                acc[i] = acc.get(i, 0) + c
+        else:
+            acc = {i: c * bden for i, c in a.terms}
+            for i, c in bterms:
+                acc[i] = acc.get(i, 0) + c * den
+            den *= bden
+        return Cyclotomic(a.conductor, acc, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> Cyclotomic:
-        return Cyclotomic(self.conductor, [-c for c in self.num], self.den)
+        return self._scaled(-1)
 
     def __sub__(self, other: Cyclotomic | int | Fraction) -> Cyclotomic:
         return self + (-other)
@@ -351,33 +444,18 @@ class Cyclotomic:
         return (-self) + other
 
     def __mul__(self, other: Cyclotomic | int | Fraction) -> Cyclotomic:
-        if isinstance(other, (int, Fraction)):
-            other = Fraction(other)
-            return Cyclotomic(
-                self.conductor,
-                [c * other.numerator for c in self.num],
-                self.den * other.denominator,
-            )
+        if not isinstance(other, Cyclotomic):
+            other = _rational(other)
+            return self._scaled(other.numerator, other.denominator)
         a, b = self._align(other)
-        if b.is_rational():
-            return a * Fraction(b.num[0], b.den)
         if a.is_rational():
-            return b * Fraction(a.num[0], a.den)
-        d = len(a.num)
-        conv = [0] * (2 * d - 1)
-        for i, ai in enumerate(a.num):
-            if ai:
-                for j, bj in enumerate(b.num):
-                    conv[i + j] += ai * bj
-        num = conv[:d]
-        rows = _power_rows(a.conductor)
-        for e in range(d, 2 * d - 1):
-            c = conv[e]
-            if c:
-                row = rows[e]
-                for i in range(d):
-                    num[i] += c * row[i]
-        return Cyclotomic(a.conductor, num, a.den * b.den)
+            a, b = b, a
+        if b.is_rational():
+            return a._scaled(b.terms[0][1] if b.terms else 0, b.den)
+        acc = _reduced(
+            a.conductor, ((i + j, x * y) for i, x in a.terms for j, y in b.terms)
+        )
+        return Cyclotomic(a.conductor, acc, a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -398,38 +476,32 @@ class Cyclotomic:
         if self.is_rational():
             return self
         n = self.conductor
-        rows = _power_rows(n)
-        d = len(self.num)
-        num = [0] * d
-        for i, c in enumerate(self.num):
-            if c:
-                row = rows[(n - i) % n]
-                for j in range(d):
-                    num[j] += c * row[j]
-        return Cyclotomic(n, num, self.den)
+        return Cyclotomic(n, _reduced(n, ((-i % n, c) for i, c in self.terms)), self.den)
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (Cyclotomic, int, Fraction)):
-            return NotImplemented
-        a, b = self._align(other)
-        return a.num == b.num and a.den == b.den
+        if isinstance(other, Cyclotomic):
+            a, b = self._align(other)
+            return a.terms == b.terms and a.den == b.den
+        if isinstance(other, (int, Fraction)):
+            return self.is_rational() and self.rational_value() == other
+        return NotImplemented
 
     def __hash__(self) -> int:
         if self.is_rational():
-            return hash(Fraction(self.num[0], self.den))
+            return hash(self.rational_value())
         weights = _trace_weights(self.conductor)
-        return hash(sum(w * c for w, c in zip(weights, self.num) if c) / self.den)
+        return hash(sum(weights[i] * c for i, c in self.terms) / self.den)
 
     def __bool__(self) -> bool:
-        return any(self.num)
+        return bool(self.terms)
 
     def is_rational(self) -> bool:
-        return not any(self.num[1:])
+        return not self.terms or self.terms[-1][0] == 0
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("not a rational value")
-        return Fraction(self.num[0], self.den)
+        return Fraction(self.terms[0][1] if self.terms else 0, self.den)
 
     def lift(self, conductor: int) -> Cyclotomic:
         """Rewrite at a larger conductor (the current one must divide it)."""
@@ -437,16 +509,11 @@ class Cyclotomic:
             return self
         if conductor % self.conductor != 0:
             raise ValueError(f"{self.conductor} does not divide {conductor}")
+        if self.is_rational():
+            return Cyclotomic(conductor, dict(self.terms), self.den)
         step = conductor // self.conductor
-        rows = _power_rows(conductor)
-        d = euler_phi(conductor)
-        num = [0] * d
-        for i, c in enumerate(self.num):
-            if c:
-                row = rows[(i * step) % conductor]
-                for j in range(d):
-                    num[j] += c * row[j]
-        return Cyclotomic(conductor, num, self.den)
+        acc = _reduced(conductor, ((i * step, c) for i, c in self.terms))
+        return Cyclotomic(conductor, acc, self.den)
 
     def to_fractions(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(c, self.den) for c in self.num)
@@ -460,7 +527,7 @@ class Cyclotomic:
     def approx(self) -> complex:
         """Float embedding zeta_N -> exp(2*pi*i/N); display use only."""
         z = cmath.exp(2j * cmath.pi / self.conductor)
-        return sum(c * z**i for i, c in enumerate(self.num)) / self.den
+        return sum((c * z**i for i, c in self.terms), 0j) / self.den
 
     def __repr__(self) -> str:
         return f"Cyclotomic({self.conductor}, {self.num}, {self.den})"

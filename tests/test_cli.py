@@ -95,6 +95,22 @@ def test_chartable_json_stdout_is_pinned(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "fmt, size, digest",
+    [
+        ("csv", 15747, "c3b7e63dd994e58da58a5c9a16b63ef6d0f8c1c1e99b8cd12b40400f611bf82f"),
+        ("pretty", 56027, "41779e1dd4c5704c1d1bbcaa9f046018d44f45f92774631f34a984e9c622a2da"),
+    ],
+)
+def test_chartable_text_stdout_is_pinned(capsys, fmt, size, digest):
+    # exact cyclotomic text (csv) and the float embedding (pretty) at conductor 56
+    code, out, _ = run(capsys, "chartable", "--n", "3", "--q", "3", "--format", fmt)
+    assert code == 0
+    data = out.encode()
+    assert len(data) == size
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
 def test_chartable_csv_grid(capsys):
     code, out, _ = run(capsys, "chartable", "--n", "2", "--q", "2", "--format", "csv")
     assert code == 0

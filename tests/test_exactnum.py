@@ -246,3 +246,85 @@ def test_mixed_conductor_product_matches_sympy(a, b):
     out = a * b
     assert out.conductor == m
     assert [sympy.Rational(c, out.den) for c in out.num] == expect
+
+
+# ------------------------------------------------------ sparse stored form
+
+
+def test_euler_phi_is_degree_of_cyclotomic_polynomial():
+    for n in range(1, 301):
+        assert euler_phi(n) == len(cyclotomic_polynomial(n)) - 1
+    with pytest.raises(ValueError):
+        euler_phi(0)
+
+
+def _assert_canonical(v: Cyclotomic) -> None:
+    indices = [i for i, _ in v.terms]
+    assert indices == sorted(set(indices))
+    assert all(0 <= i < euler_phi(v.conductor) for i in indices)
+    assert all(c != 0 for _, c in v.terms)
+    assert v.den > 0
+    assert math.gcd(v.den, *(c for _, c in v.terms)) == 1
+
+
+def test_constructor_forms_and_rejections():
+    v = Cyclotomic(5, {3: 4, 0: -2, 1: 0}, -6)
+    assert v.terms == ((0, 1), (3, -2)) and v.den == 3
+    assert v.num == (1, 0, 0, -2)
+    assert Cyclotomic(5, [1, 0, 0, -2], 3) == v
+    assert Cyclotomic.zero(7).terms == () and Cyclotomic(7, {0: 0}, 5).den == 1
+    with pytest.raises(ValueError):
+        Cyclotomic(5, {4: 1})
+    with pytest.raises(ValueError):
+        Cyclotomic(5, [1, 2, 3])
+    with pytest.raises(ZeroDivisionError):
+        Cyclotomic(5, {0: 1}, 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    cyclotomics(),
+    cyclotomics(),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+    st.sampled_from((1, 2, 3, 5)),
+)
+def test_results_are_canonical(a, b, r, step):
+    outs = (a + b, a - b, a * b, -a, a + r, r - a, a * r, a.conj(), a.lift(a.conductor * step))
+    for out in (a, b) + outs:
+        _assert_canonical(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cyclotomics())
+def test_dense_constructor_round_trips(v):
+    for w in (Cyclotomic(v.conductor, v.num, v.den), Cyclotomic(v.conductor, dict(v.terms), v.den)):
+        assert (w.conductor, w.terms, w.den) == (v.conductor, v.terms, v.den)
+        assert repr(w) == repr(v)
+
+
+def _sympy_coords(sympy, powers, m: int) -> list:
+    """Coordinates at conductor m of the sum of c x^e over (e, c), by sympy."""
+    x = sympy.Symbol("x")
+    expr = sum((c * x**e for e, c in powers), sympy.Integer(0))
+    poly = sympy.Poly(sympy.rem(sympy.expand(expr), sympy.cyclotomic_poly(m, x), x), x)
+    return [poly.coeff_monomial(x**i) for i in range(euler_phi(m))]
+
+
+def _sympy_value(sympy, v: Cyclotomic) -> list:
+    return [sympy.Rational(c, v.den) for c in v.num]
+
+
+@settings(max_examples=30, deadline=None)
+@given(cyclotomics(), st.sampled_from((1, 2, 3, 5)))
+def test_conj_and_lift_match_sympy(a, step):
+    sympy = pytest.importorskip("sympy")
+    n, m = a.conductor, a.conductor * step
+    terms = [(i, sympy.Rational(c, a.den)) for i, c in a.terms]
+    assert _sympy_value(sympy, a.conj()) == _sympy_coords(
+        sympy, [(-i % n, c) for i, c in terms], n
+    )
+    lifted = a.lift(m)
+    assert lifted.conductor == m
+    assert _sympy_value(sympy, lifted) == _sympy_coords(
+        sympy, [(i * step, c) for i, c in terms], m
+    )
