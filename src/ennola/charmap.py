@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import product as iproduct
 
-from .exactnum import Cyclotomic
+from .exactnum import Cyclotomic, _reduced
 from .multipartitions import (
     MultiPartition,
     centralizer_order,
@@ -173,31 +173,52 @@ def _power_phi_to_P_items(nu: MultiPartition) -> tuple[tuple[MultiPartition, int
 def _power_theta_to_P_items(gamma: MultiPartition) -> tuple[tuple[MultiPartition, Cyclotomic], ...]:
     """Expand a character-orbit power sum in the Hall-Littlewood basis.
 
-    Each part passes through the variable-change transform, the resulting
-    point-orbit power sums are multiplied out, and Green polynomial values
-    finish the conversion. Coefficients are returned at the degree-n common
-    conductor.
+    Each part passes through the variable-change transform, and the resulting
+    point-orbit power sums are multiplied out block by block, summing the
+    products per point-orbit multipartition nu as they form; Green polynomial
+    values then finish the conversion. Until the last step, values are sums
+    of N-th roots of unity, N the degree-n common conductor, kept as integer
+    coordinates over exponents mod N, so products only add exponents. Each
+    entry is reduced to the power basis at N once, at the end. Coefficients
+    are algebraic integers, so each has denominator 1.
     """
     q = gamma.q
-    n = mp_size(gamma)
-    big = conductor(q, n)
-    blocks = [(orb, c) for orb, lam in gamma.assignment for c in lam]
-    dicts = [transform_p(orb, c, q) for orb, c in blocks]
-    acc: dict[MultiPartition, Cyclotomic] = {}
-    for combo in iproduct(*(d.items() for d in dicts)):
-        coeff = Cyclotomic.from_rational(1, big)
-        parts: dict[OrbitId, list[int]] = {}
-        for (f, power), v in combo:
-            coeff = coeff * v.lift(big)
-            parts.setdefault(f, []).append(power)
+    big = conductor(q, mp_size(gamma))
+    orbits: dict[tuple[int, int], OrbitId] = {}
+    # Partial products, keyed by the sorted (size, residue, power) blocks so far.
+    state: dict[tuple, dict[int, int]] = {(): {0: 1}}
+    for orb, lam in gamma.assignment:
+        for c in lam:
+            opts = []
+            for (f, power), v in transform_p(orb, c, q).items():
+                if v.den != 1:
+                    raise AssertionError("transform coefficient is not integral")
+                step = big // v.conductor
+                orbits[f.size, f.residue] = f
+                opts.append(((f.size, f.residue, power), [(i * step, x) for i, x in v.terms]))
+            grown: dict[tuple, dict[int, int]] = {}
+            for key, vec in state.items():
+                for block, terms in opts:
+                    out = grown.setdefault(tuple(sorted(key + (block,))), {})
+                    for e, x in vec.items():
+                        for i, y in terms:
+                            s = (e + i) % big
+                            out[s] = out.get(s, 0) + x * y
+            state = grown
+    acc: dict[MultiPartition, dict[int, int]] = {}
+    for key, vec in state.items():
+        parts: dict[tuple[int, int], list[int]] = {}
+        for size, residue, power in key:
+            parts.setdefault((size, residue), []).append(power)
         nu = MultiPartition(
-            "phi", q, tuple((f, tuple(sorted(ps, reverse=True))) for f, ps in parts.items())
+            "phi", q, tuple((orbits[f], tuple(sorted(ps, reverse=True))) for f, ps in parts.items())
         )
         for mu, g in _power_phi_to_P_items(nu):
-            _acc(acc, mu, coeff * g)
-    return tuple(
-        sorted(((mu, v) for mu, v in acc.items() if v), key=lambda kv: kv[0].sort_key())
-    )
+            out = acc.setdefault(mu, {})
+            for e, x in vec.items():
+                out[e] = out.get(e, 0) + g * x
+    items = ((mu, Cyclotomic(big, _reduced(big, vec.items()))) for mu, vec in acc.items())
+    return tuple(sorted(((mu, v) for mu, v in items if v), key=lambda kv: kv[0].sort_key()))
 
 
 def _invert(mat: list[list[Fraction]]) -> list[list[Fraction]]:
@@ -412,14 +433,29 @@ def expand_schur(label: CharLabel | MultiPartition) -> SymElement:
     return to_basis(schur(lam), "P")
 
 
+def _row_values(label: CharLabel) -> dict[MultiPartition, Cyclotomic]:
+    """One table row at the common conductor, keyed by class: sign(label)
+    times the sum over torus labels gamma of (chi(gamma)/z_gamma) T(gamma),
+    T the p_theta to P transition, summed as integer coordinates over one
+    denominator."""
+    items = _schur_items(label.lam)
+    den = math.lcm(*(c.denominator for _, c in items))
+    sign = label.sign()
+    acc: dict[MultiPartition, dict[int, int]] = {}
+    for gamma, c in items:
+        f = sign * c.numerator * (den // c.denominator)
+        for mu, v in _power_theta_to_P_items(gamma):
+            out = acc.setdefault(mu, {})
+            for i, x in v.terms:
+                out[i] = out.get(i, 0) + f * x
+    big = conductor(label.q, label.n)
+    return {mu: Cyclotomic(big, coords, den) for mu, coords in acc.items()}
+
+
 def character_row(label: CharLabel | MultiPartition) -> SymElement:
     """The irreducible character of a label, as coefficients on class indicators."""
     label = label if isinstance(label, CharLabel) else CharLabel(label)
-    expanded = expand_schur(label)
-    return SymElement(
-        expanded.q, expanded.n, "pi",
-        dict(expanded.scale(label.sign()).coeffs),
-    )
+    return SymElement(label.q, label.n, "pi", _row_values(label))
 
 
 def identity_column_entry(label: CharLabel | MultiPartition) -> int:
@@ -476,21 +512,26 @@ class CharTable:
 
 def char_table_row(label: CharLabel, cols: tuple[MultiPartition, ...]) -> tuple[Cyclotomic, ...]:
     """One table row over the given column order, at the common conductor."""
-    big = conductor(label.q, label.n)
-    row = character_row(label)
-    return tuple(row.coefficient(mu).lift(big) for mu in cols)
+    values = _row_values(label)
+    zero = Cyclotomic.zero(conductor(label.q, label.n))
+    return tuple(values.get(mu, zero) for mu in cols)
 
 
 def char_table(n: int, q: int) -> CharTable:
     """Character table of the rank-n unitary group over the q^2 field.
 
-    Rows and columns follow the canonical multipartition order.
+    Rows and columns follow the canonical multipartition order. Equal entries
+    are one shared object: a table holds few distinct values.
     """
     if n < 1:
         raise ValueError("rank must be positive")
     rows = tuple(CharLabel(lam) for lam in enumerate_mp(q, "theta", n))
     cols = tuple(enumerate_mp(q, "phi", n))
-    values = tuple(char_table_row(label, cols) for label in rows)
+    interned: dict[tuple, Cyclotomic] = {}
+    values = tuple(
+        tuple(interned.setdefault((v.terms, v.den), v) for v in char_table_row(label, cols))
+        for label in rows
+    )
     sizes = tuple(class_size(mu) for mu in cols)
     return CharTable(n, q, rows, cols, values, sizes)
 

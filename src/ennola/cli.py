@@ -33,6 +33,7 @@ from .charmap import (
     CharTable,
     char_table,
     circ_product,
+    conductor,
     dl_character,
     pi_class,
     star_product,
@@ -505,12 +506,17 @@ def _check_orthogonality(args: argparse.Namespace) -> tuple[bool, str]:
     table = char_table(n, q)
     order = unitary_group_order(q, n)
     m = len(table.rows)
+    support = [[(k, v) for k, v in enumerate(row) if v] for row in table.values]
+    weighted = [{k: v.conj() * table.class_sizes[k] for k, v in row} for row in support]
+    zero = Cyclotomic.zero(conductor(q, n))
     for i in range(m):
         for j in range(i, m):
-            acc = Cyclotomic.from_rational(0)
-            for k in range(len(table.cols)):
-                term = table.values[i][k] * table.values[j][k].conj()
-                acc = acc + term * table.class_sizes[k]
+            other = weighted[j]
+            acc = zero
+            for k, v in support[i]:
+                w = other.get(k)
+                if w is not None:
+                    acc = acc + v * w
             expected = order if i == j else 0
             if acc != expected:
                 return (

@@ -23,24 +23,18 @@ __all__ = [
 ]
 
 
-def _divexact_int_poly(num: list[int], den: list[int]) -> list[int]:
-    """Exact quotient of integer polynomials in little-endian form.
-
-    Raises ValueError if the division leaves a remainder (it never should for
-    the cyclotomic products this module performs).
-    """
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    lead = den[-1]
-    for i in range(len(out) - 1, -1, -1):
-        c, r = divmod(num[i + len(den) - 1], lead)
-        if r:
-            raise ValueError("inexact integer polynomial division")
-        out[i] = c
-        for j, d in enumerate(den):
-            num[i + j] -= c * d
-    if any(num):
-        raise ValueError("inexact integer polynomial division")
+def _prime_divisors(n: int) -> list[int]:
+    """The distinct primes dividing n, ascending."""
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        out.append(n)
     return out
 
 
@@ -48,8 +42,10 @@ def _divexact_int_poly(num: list[int], den: list[int]) -> list[int]:
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients of the n-th cyclotomic polynomial Phi_n, little-endian.
 
-    Computed by exact division of x^n - 1 by the product of Phi_d over proper
-    divisors d of n.
+    With r the product of the primes dividing n, Phi_n(x) = Phi_r(x^(n/r)).
+    For squarefree n > 1, Phi_n is the product over divisors d of n of
+    (1 - x^d)^mu(n/d), expanded as a power series up to degree phi(n): each
+    factor costs one pass over the phi(n) + 1 coefficients.
 
     >>> cyclotomic_polynomial(1)
     (-1, 1)
@@ -60,56 +56,47 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """
     if n < 1:
         raise ValueError("conductor must be positive")
-    num = [0] * (n + 1)
-    num[0], num[n] = -1, 1
-    den = [1]
-    for d in range(1, n):
-        if n % d == 0:
-            phi_d = cyclotomic_polynomial(d)
-            den = [
-                sum(den[i] * phi_d[k - i] for i in range(len(den)) if 0 <= k - i < len(phi_d))
-                for k in range(len(den) + len(phi_d) - 1)
-            ]
-    return tuple(_divexact_int_poly(num, den))
+    if n == 1:
+        return (-1, 1)
+    primes = _prime_divisors(n)
+    rad = math.prod(primes)
+    if rad != n:
+        base = cyclotomic_polynomial(rad)
+        step = n // rad
+        out = [0] * ((len(base) - 1) * step + 1)
+        out[::step] = base
+        return tuple(out)
+    deg = math.prod(p - 1 for p in primes)
+    series = [1] + [0] * deg
+    divisors = [(1, len(primes) % 2)]  # (d, 1 if mu(n/d) = -1 else 0)
+    for p in primes:
+        divisors += [(d * p, 1 - odd) for d, odd in divisors]
+    for d, odd in divisors:
+        if odd:  # divide by 1 - x^d
+            for k in range(d, deg + 1):
+                series[k] += series[k - d]
+        else:  # multiply by 1 - x^d
+            for k in range(deg, d - 1, -1):
+                series[k] -= series[k - d]
+    return tuple(series)
 
 
 @functools.cache
 def euler_phi(n: int) -> int:
-    """Euler totient, the product of p^(k-1) (p-1) over the prime powers p^k of n.
+    """Euler totient, n times the product of (1 - 1/p) over the primes p dividing n.
 
     >>> [euler_phi(n) for n in (1, 2, 12, 560)]
     [1, 1, 4, 192]
     """
     if n < 1:
         raise ValueError("conductor must be positive")
-    out = 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            out *= p - 1
-            while n % p == 0:
-                n //= p
-                out *= p
-        p += 1
-    if n > 1:
-        out *= n - 1
-    return out
+    primes = _prime_divisors(n)
+    return n // math.prod(primes) * math.prod(p - 1 for p in primes)
 
 
 def _mobius(n: int) -> int:
-    result = 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            result = -result
-        p += 1
-    if n > 1:
-        result = -result
-    return result
+    primes = _prime_divisors(n)
+    return (-1) ** len(primes) if math.prod(primes) == n else 0
 
 
 @functools.cache

@@ -428,6 +428,27 @@ def test_char_table_row_order_is_stable() -> None:
         assert char_table_row(label, table.cols) == table.values[i]
 
 
+@pytest.mark.parametrize("n, q", [(3, 2), (2, 3), (3, 3)])
+def test_table_rows_match_the_generic_schur_expansion(n: int, q: int) -> None:
+    # the right-hand side goes through to_basis, one SymElement per basis
+    table = char_table(n, q)
+    for label, row in zip(table.rows, table.values):
+        expanded = expand_schur(label)
+        chi = character_row(label)
+        for mu, v in zip(table.cols, row):
+            assert v == expanded.coefficient(mu) * label.sign()
+            assert v == chi.coefficient(mu)
+    entries = [v for row in table.values for v in row]
+    assert len({id(v) for v in entries}) == len({(v.terms, v.den) for v in entries})
+
+
+def test_degree_zero_power_sum_is_one() -> None:
+    for q in (2, 3):
+        empty = MultiPartition("theta", q, ())
+        image = to_basis(power_theta(empty), "P")
+        assert image.coeffs == {MultiPartition("phi", q, ()): Cyclotomic.from_rational(1)}
+
+
 def test_char_table_rejects_bad_rank() -> None:
     with pytest.raises(ValueError):
         char_table(0, 2)

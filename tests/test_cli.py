@@ -111,6 +111,18 @@ def test_chartable_text_stdout_is_pinned(capsys, fmt, size, digest):
     assert hashlib.sha256(data).hexdigest() == digest
 
 
+def test_chartable_5_2_csv_stdout_is_pinned(capsys):
+    # 141 rows at conductor 495, read off the p_theta to P transition
+    code, out, _ = run(capsys, "chartable", "--n", "5", "--q", "2", "--format", "csv")
+    assert code == 0
+    data = out.encode()
+    assert len(data) == 152891
+    assert (
+        hashlib.sha256(data).hexdigest()
+        == "84a35dd71b57e11f73c2f4c2bbb946cc544fd0180f3e1011ba21a9ca13804e1e"
+    )
+
+
 def test_chartable_csv_grid(capsys):
     code, out, _ = run(capsys, "chartable", "--n", "2", "--q", "2", "--format", "csv")
     assert code == 0
@@ -273,6 +285,29 @@ def test_verify_reports_failures_with_exit_one(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "divsum", "--q", "2")
     assert code == 1
     assert out == "FAIL divsum: discrepancy 7 at the seeded spot\n"
+
+
+def test_verify_orthogonality_detects_a_perturbed_entry(capsys, monkeypatch):
+    import dataclasses
+
+    from ennola import cli
+
+    real = cli.char_table
+
+    def perturbed(n, q):
+        table = real(n, q)
+        values = [list(row) for row in table.values]
+        k = next(k for k, v in enumerate(values[-1]) if v)
+        values[-1][k] = values[-1][k] * 2
+        return dataclasses.replace(table, values=tuple(tuple(row) for row in values))
+
+    code, out, _ = run(capsys, "verify", "orthogonality", "--n", "2", "--q", "3")
+    assert code == 0
+    monkeypatch.setattr(cli, "char_table", perturbed)
+    code, out, _ = run(capsys, "verify", "orthogonality", "--n", "2", "--q", "3")
+    assert code == 1
+    last = mp_text(real(2, 3).rows[-1].lam)
+    assert out.startswith("FAIL orthogonality: rows ") and last in out
 
 
 def test_verify_converts_internal_assertions_to_fail(capsys, monkeypatch):

@@ -82,6 +82,14 @@ def test_cyclotomic_polynomial_divides_xn_minus_1():
         assert prod == expect
 
 
+def test_cyclotomic_polynomial_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for n in [*range(1, 601), 3465, 7280]:
+        expect = sympy.cyclotomic_poly(n, x, polys=True).all_coeffs()[::-1]
+        assert cyclotomic_polynomial(n) == tuple(int(c) for c in expect), n
+
+
 def test_zeta_basics():
     z3 = Cyclotomic.root(3)
     assert z3 + z3 * z3 + 1 == 0
