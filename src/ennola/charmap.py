@@ -169,6 +169,63 @@ def _power_phi_to_P_items(nu: MultiPartition) -> tuple[tuple[MultiPartition, int
     return tuple(out)
 
 
+def _mul_into(out: dict[int, int], a, b, big: int) -> None:
+    """Add the product of two sums of integer multiples of N-th roots of
+    unity, N = big, given as (exponent, integer) pairs, into ``out``."""
+    get = out.get
+    for e, x in a:
+        for f, y in b:
+            s = (e + f) % big
+            out[s] = get(s, 0) + x * y
+
+
+def _multiply_blocks(big: int, blocks, start: int = 1) -> dict[tuple, dict[int, int]]:
+    """Multiply out a product of sums block by block.
+
+    Each block is a list of options (key part, terms), the terms (exponent,
+    integer) pairs over exponents mod big. Partial products are keyed by the
+    sorted tuple of key parts chosen so far and summed per key as they form,
+    so products only add exponents. The empty product is ``start``.
+    """
+    state: dict[tuple, dict[int, int]] = {(): {0: start}}
+    for opts in blocks:
+        grown: dict[tuple, dict[int, int]] = {}
+        for key, vec in state.items():
+            for part, terms in opts:
+                _mul_into(grown.setdefault(tuple(sorted(key + (part,))), {}), vec.items(), terms, big)
+        state = grown
+    return state
+
+
+@cache
+def _orbit(kind: str, q: int, size: int, residue: int) -> OrbitId:
+    """One shared, validated orbit object per (kind, q, size, residue)."""
+    return OrbitId(kind, q, size, residue)
+
+
+def _mp_of_blocks(kind: str, q: int, key: tuple) -> MultiPartition:
+    """The multipartition of a sorted tuple of (orbit size, orbit residue,
+    part) blocks."""
+    parts: dict[tuple[int, int], list[int]] = {}
+    for size, residue, power in key:
+        parts.setdefault((size, residue), []).append(power)
+    return MultiPartition(
+        kind, q, tuple((_orbit(kind, q, *f), tuple(reversed(ps))) for f, ps in parts.items())
+    )
+
+
+@cache
+def _theta_mp(q: int, key: tuple) -> MultiPartition:
+    """Character-orbit multipartition of a block key, built once per key, so
+    equal keys are one object across every cached expansion."""
+    return _mp_of_blocks("theta", q, key)
+
+
+def _cyclotomics(acc: dict, big: int, den: int) -> dict:
+    """Each accumulated exponent vector reduced to the power basis at big, once."""
+    return {key: Cyclotomic(big, _reduced(big, vec.items()), den) for key, vec in acc.items()}
+
+
 @cache
 def _power_theta_to_P_items(gamma: MultiPartition) -> tuple[tuple[MultiPartition, Cyclotomic], ...]:
     """Expand a character-orbit power sum in the Hall-Littlewood basis.
@@ -184,9 +241,7 @@ def _power_theta_to_P_items(gamma: MultiPartition) -> tuple[tuple[MultiPartition
     """
     q = gamma.q
     big = conductor(q, mp_size(gamma))
-    orbits: dict[tuple[int, int], OrbitId] = {}
-    # Partial products, keyed by the sorted (size, residue, power) blocks so far.
-    state: dict[tuple, dict[int, int]] = {(): {0: 1}}
+    blocks = []
     for orb, lam in gamma.assignment:
         for c in lam:
             opts = []
@@ -194,30 +249,15 @@ def _power_theta_to_P_items(gamma: MultiPartition) -> tuple[tuple[MultiPartition
                 if v.den != 1:
                     raise AssertionError("transform coefficient is not integral")
                 step = big // v.conductor
-                orbits[f.size, f.residue] = f
                 opts.append(((f.size, f.residue, power), [(i * step, x) for i, x in v.terms]))
-            grown: dict[tuple, dict[int, int]] = {}
-            for key, vec in state.items():
-                for block, terms in opts:
-                    out = grown.setdefault(tuple(sorted(key + (block,))), {})
-                    for e, x in vec.items():
-                        for i, y in terms:
-                            s = (e + i) % big
-                            out[s] = out.get(s, 0) + x * y
-            state = grown
+            blocks.append(opts)
     acc: dict[MultiPartition, dict[int, int]] = {}
-    for key, vec in state.items():
-        parts: dict[tuple[int, int], list[int]] = {}
-        for size, residue, power in key:
-            parts.setdefault((size, residue), []).append(power)
-        nu = MultiPartition(
-            "phi", q, tuple((orbits[f], tuple(sorted(ps, reverse=True))) for f, ps in parts.items())
-        )
-        for mu, g in _power_phi_to_P_items(nu):
+    for key, vec in _multiply_blocks(big, blocks).items():
+        for mu, g in _power_phi_to_P_items(_mp_of_blocks("phi", q, key)):
             out = acc.setdefault(mu, {})
             for e, x in vec.items():
                 out[e] = out.get(e, 0) + g * x
-    items = ((mu, Cyclotomic(big, _reduced(big, vec.items()))) for mu, vec in acc.items())
+    items = _cyclotomics(acc, big, 1).items()
     return tuple(sorted(((mu, v) for mu, v in items if v), key=lambda kv: kv[0].sort_key()))
 
 
@@ -238,16 +278,21 @@ def _invert(mat: list[list[Fraction]]) -> list[list[Fraction]]:
 
 
 @cache
-def _hl_to_power_rows(k: int, t: int) -> dict[Partition, tuple[tuple[Partition, Fraction], ...]]:
-    """Rows of the inverse Green matrix: one Hall-Littlewood element of degree
-    k, at parameter value t, written in single-orbit power sums."""
+def _inverse_green(k: int, t: int) -> tuple[tuple[Fraction, ...], ...]:
+    """Inverse of the degree-k Green matrix at parameter value t, rows and
+    columns in ``partitions_of(k)`` order."""
     ps = partitions_of(k)
     mat = [[Fraction(_green_block(nu, mu, t)) for mu in ps] for nu in ps]
-    inv = _invert(mat)
-    return {
-        mu: tuple((nu, inv[j][i]) for i, nu in enumerate(ps) if inv[j][i])
-        for j, mu in enumerate(ps)
-    }
+    return tuple(tuple(row) for row in _invert(mat))
+
+
+@cache
+def _hl_to_power_row(lam: Partition, t: int) -> tuple[tuple[Partition, Fraction], ...]:
+    """One Hall-Littlewood element at parameter value t, written in
+    single-orbit power sums: a row of the inverse Green matrix."""
+    ps = partitions_of(sum(lam))
+    row = _inverse_green(sum(lam), t)[ps.index(lam)]
+    return tuple((nu, cf) for nu, cf in zip(ps, row) if cf)
 
 
 @cache
@@ -281,34 +326,51 @@ def _power_phi_block_to_theta_items(f: OrbitId, c: int) -> tuple[tuple[OrbitId, 
 
 @cache
 def _P_to_power_theta_items(mu: MultiPartition) -> tuple[tuple[MultiPartition, Cyclotomic], ...]:
-    """Expand one Hall-Littlewood element in character-orbit power sums."""
+    """Expand one Hall-Littlewood element in character-orbit power sums.
+
+    Per point orbit, the inverse Green matrix writes the block in point-orbit
+    power sums with rational coefficients; each power sum p_c(f) then inverts
+    the variable-change transform over character orbits, with coefficients
+    (sums of roots of unity) over the known denominator N_m, m = c*|f|. Those
+    are scaled once to integer coordinates over exponents mod N, N the
+    degree-n common conductor, and multiplied out block by block as in
+    ``_power_theta_to_P_items``, over one common denominator for the whole
+    element. Each entry is reduced to the power basis at N once, at the end,
+    and every entry is written at N. Keys are built once per distinct
+    character-orbit multipartition.
+    """
     q = mu.q
-    n = mp_size(mu)
-    big = conductor(q, n)
-    per_orbit = []
-    for orb, lam in mu.assignment:
-        t = (-q) ** orb.size
-        row = _hl_to_power_rows(sum(lam), t)[lam]
-        per_orbit.append([(orb, nu, cf) for nu, cf in row])
-    acc: dict[MultiPartition, Cyclotomic] = {}
+    big = conductor(q, mp_size(mu))
+    per_orbit = [
+        [(orb, nu, cf) for nu, cf in _hl_to_power_row(lam, (-q) ** orb.size)]
+        for orb, lam in mu.assignment
+    ]
+    combos = []
     for combo in iproduct(*per_orbit):
         frac = math.prod((cf for _, _, cf in combo), start=Fraction(1))
         blocks = [(orb, c) for orb, nu, _ in combo for c in nu]
-        theta_opts = [_power_phi_block_to_theta_items(orb, c) for orb, c in blocks]
-        for tcombo in iproduct(*theta_opts):
-            coeff = Cyclotomic.from_rational(frac, big)
-            parts: dict[OrbitId, list[int]] = {}
-            for phi, power, v in tcombo:
-                coeff = coeff * v.lift(big)
-                parts.setdefault(phi, []).append(power)
-            gmp = MultiPartition(
-                "theta", q,
-                tuple((orb, tuple(sorted(ps, reverse=True))) for orb, ps in parts.items()),
-            )
-            _acc(acc, gmp, coeff)
-    return tuple(
-        sorted(((g, v) for g, v in acc.items() if v), key=lambda kv: kv[0].sort_key())
-    )
+        d = frac.denominator * math.prod(level_order(q, c * orb.size) for orb, c in blocks)
+        combos.append((frac.numerator, blocks, d))
+    den = math.lcm(*(d for _, _, d in combos))
+    theta_opts: dict[tuple[OrbitId, int], list] = {}
+    for orb, c in {b for _, blocks, _ in combos for b in blocks}:
+        nm = level_order(q, c * orb.size)
+        opts = []
+        for phi, power, v in _power_phi_block_to_theta_items(orb, c):
+            if nm % v.den:
+                raise AssertionError("transform inverse does not have denominator N_m")
+            step, scale = big // v.conductor, nm // v.den
+            opts.append(((phi.size, phi.residue, power), [(i * step, x * scale) for i, x in v.terms]))
+        theta_opts[orb, c] = opts
+    acc: dict[tuple, dict[int, int]] = {}
+    for num, blocks, d in combos:
+        start = num * (den // d)
+        for key, vec in _multiply_blocks(big, [theta_opts[b] for b in blocks], start).items():
+            out = acc.setdefault(key, {})
+            for e, x in vec.items():
+                out[e] = out.get(e, 0) + x
+    items = ((_theta_mp(q, key), v) for key, v in _cyclotomics(acc, big, den).items())
+    return tuple(sorted(((g, v) for g, v in items if v), key=lambda kv: kv[0].sort_key()))
 
 
 @cache
@@ -324,12 +386,47 @@ def _schur_to_power_factors(lam: Partition) -> tuple[tuple[Partition, Fraction],
     return tuple(out)
 
 
+def _coords(v: Cyclotomic | Fraction | int) -> tuple[int, tuple[tuple[int, int], ...], int]:
+    """Conductor, (index, coordinate) terms and denominator of a coefficient;
+    a rational one is written at conductor 1."""
+    if isinstance(v, Cyclotomic):
+        return v.conductor, v.terms, v.den
+    if isinstance(v, int):
+        return 1, ((0, v),), 1
+    return 1, ((0, v.numerator),), v.denominator
+
+
+def _exponents(v: Cyclotomic | Fraction | int, big: int, den: int) -> list[tuple[int, int]]:
+    """The terms of a coefficient as integer multiples of exponents mod big,
+    over the denominator den (a multiple of its own)."""
+    n, terms, d = _coords(v)
+    step, scale = big // n, den // d
+    return [(i * step, x * scale) for i, x in terms]
+
+
 def _expand_linear(elem: SymElement, items_of, out_basis: str) -> SymElement:
-    acc: dict[MultiPartition, Cyclotomic] = {}
-    for mp, c in elem.coeffs.items():
-        for target, v in items_of(mp):
-            _acc(acc, target, c * v)
-    return SymElement(elem.q, elem.n, out_basis, acc)
+    """Apply a linear map given on basis elements by ``items_of``.
+
+    Products and sums are integer coordinates over exponents mod L, L the lcm
+    of the conductors that the coefficients and the map's values carry
+    (rational values count as conductor 1), over one common denominator.
+    Each result is reduced once and written at L.
+    """
+    rows = [(c, items_of(mp)) for mp, c in elem.coeffs.items()]
+    conductors, dens = {c.conductor for c, _ in rows}, set()
+    for _, items in rows:
+        for _, v in items:
+            n, _, d = _coords(v)
+            conductors.add(n)
+            dens.add(d)
+    big = math.lcm(*conductors)
+    den_c, den_v = math.lcm(*(c.den for c, _ in rows)), math.lcm(*dens)
+    acc: dict[MultiPartition, dict[int, int]] = {}
+    for c, items in rows:
+        cterms = _exponents(c, big, den_c)
+        for target, v in items:
+            _mul_into(acc.setdefault(target, {}), cterms, _exponents(v, big, den_v), big)
+    return SymElement(elem.q, elem.n, out_basis, _cyclotomics(acc, big, den_c * den_v))
 
 
 def _schur_items(lam: MultiPartition) -> list[tuple[MultiPartition, Fraction]]:
@@ -683,22 +780,29 @@ def circ_product(a: SymElement, b: SymElement) -> SymElement:
     it where another basis is wanted. Agreement with the Ennola product is a
     theorem, and a genuine cross-check, because this route never touches
     Hall polynomials.
+
+    Coefficient products are summed as integer coordinates over exponents
+    mod L, L the lcm of the conductors the two factors' coefficients carry,
+    over one common denominator; each result is reduced once and written at
+    L, and each result multipartition is built once.
     """
     if a.q != b.q:
         raise ValueError("mismatched q")
-    left = to_basis(a, "p_theta")
-    right = to_basis(b, "p_theta")
     q = a.q
-    acc: dict[MultiPartition, Cyclotomic] = {}
-    for g1, c1 in left.coeffs.items():
-        for g2, c2 in right.coeffs.items():
-            parts: dict[OrbitId, list[int]] = {}
-            for src in (g1, g2):
-                for orb, bl in src.assignment:
-                    parts.setdefault(orb, []).extend(bl)
-            merged = MultiPartition(
-                "theta", q,
-                tuple((orb, tuple(sorted(ps, reverse=True))) for orb, ps in parts.items()),
-            )
-            _acc(acc, merged, c1 * c2)
-    return SymElement(q, a.n + b.n, "p_theta", acc)
+    sides = [to_basis(elem, "p_theta").coeffs for elem in (a, b)]
+    big = math.lcm(*(v.conductor for coeffs in sides for v in coeffs.values()))
+    dens = [math.lcm(*(v.den for v in coeffs.values())) for coeffs in sides]
+    left, right = (
+        [
+            (tuple(sorted((orb.size, orb.residue, c) for orb, lam in g.assignment for c in lam)),
+             _exponents(v, big, den))
+            for g, v in coeffs.items()
+        ]
+        for coeffs, den in zip(sides, dens)
+    )
+    acc: dict[tuple, dict[int, int]] = {}
+    for k1, t1 in left:
+        for k2, t2 in right:
+            _mul_into(acc.setdefault(tuple(sorted(k1 + k2)), {}), t1, t2, big)
+    coeffs = {_theta_mp(q, key): v for key, v in _cyclotomics(acc, big, dens[0] * dens[1]).items()}
+    return SymElement(q, a.n + b.n, "p_theta", coeffs)

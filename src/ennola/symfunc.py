@@ -369,21 +369,32 @@ def lr_coefficient(mu: Partition, nu: Partition, lam: Partition) -> int:
     return int(c)
 
 
+@functools.cache
+def _hl_product(mu: Partition, nu: Partition) -> tuple[tuple[Partition, QPoly], ...]:
+    """P_mu P_nu in the hl basis: the pairs (lam, f_{mu nu}^lam(t)) with
+    nonzero structure constant, sorted by lam. Called with (mu, nu) in sorted
+    order, since the product commutes."""
+    prod = multiply(
+        SymFn1(sum(mu), "hl", {mu: QPoly({0: 1})}),
+        SymFn1(sum(nu), "hl", {nu: QPoly({0: 1})}),
+        basis="hl",
+    )
+    return tuple(sorted(prod.coeffs.items()))
+
+
 def hall_polynomial(mu: Partition, nu: Partition, lam: Partition) -> QPoly:
     """Hall polynomial g_{mu nu}^lam(t), from hl structure constants via
     g(t) = t^{n(lam)-n(mu)-n(nu)} f_{mu nu}^lam(1/t).
+
+    The product P_mu P_nu is computed once per pair {mu, nu} and cached as a
+    tuple; each lam reads its structure constant from it.
 
     >>> hall_polynomial((1,), (1,), (1, 1))
     QPoly(1 + t)
     """
     if sum(mu) + sum(nu) != sum(lam):
         raise ValueError("size mismatch")
-    prod = multiply(
-        SymFn1(sum(mu), "hl", {mu: QPoly({0: 1})}),
-        SymFn1(sum(nu), "hl", {nu: QPoly({0: 1})}),
-        basis="hl",
-    )
-    f = prod.coeffs.get(lam, QPoly())
+    f = next((c for key, c in _hl_product(*sorted((mu, nu))) if key == lam), QPoly())
     g = f.inverse_variable().shift(n_stat(lam) - n_stat(mu) - n_stat(nu))
     if g and (g.min_exp() < 0 or not g.is_integral()):
         raise AssertionError("Hall polynomial came out non-polynomial")

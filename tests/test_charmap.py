@@ -12,6 +12,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ennola.charmap import (
     CharLabel,
@@ -33,7 +35,7 @@ from ennola.charmap import (
     star_product,
     to_basis,
 )
-from ennola.exactnum import Cyclotomic
+from ennola.exactnum import Cyclotomic, euler_phi
 from ennola.multipartitions import (
     MultiPartition,
     centralizer_order,
@@ -452,3 +454,116 @@ def test_degree_zero_power_sum_is_one() -> None:
 def test_char_table_rejects_bad_rank() -> None:
     with pytest.raises(ValueError):
         char_table(0, 2)
+
+
+TRANSITION_SIZES = [(2, n) for n in range(1, 5)] + [(3, n) for n in range(1, 4)] + [(4, 1), (4, 2)]
+
+
+def _reference_P_to_power_theta(mu: MultiPartition) -> dict[MultiPartition, Cyclotomic]:
+    # one Cyclotomic product and lift per combination of inverse Green row
+    # entries and inverse transform options
+    from itertools import product as iproduct
+
+    from ennola.charmap import _hl_to_power_row, _power_phi_block_to_theta_items
+    from ennola.multipartitions import mp_size
+
+    q = mu.q
+    big = conductor(q, mp_size(mu))
+    per_orbit = [
+        [(orb, nu, cf) for nu, cf in _hl_to_power_row(lam, (-q) ** orb.size)]
+        for orb, lam in mu.assignment
+    ]
+    acc: dict[MultiPartition, Cyclotomic] = {}
+    for combo in iproduct(*per_orbit):
+        frac = Fraction(1)
+        for _, _, cf in combo:
+            frac *= cf
+        blocks = [(orb, c) for orb, nu, _ in combo for c in nu]
+        theta_opts = [_power_phi_block_to_theta_items(orb, c) for orb, c in blocks]
+        for tcombo in iproduct(*theta_opts):
+            coeff = Cyclotomic.from_rational(frac, big)
+            parts: dict[OrbitId, list[int]] = {}
+            for phi, power, v in tcombo:
+                coeff = coeff * v.lift(big)
+                parts.setdefault(phi, []).append(power)
+            gmp = MultiPartition(
+                "theta", q,
+                tuple((orb, tuple(sorted(ps, reverse=True))) for orb, ps in parts.items()),
+            )
+            acc[gmp] = acc[gmp] + coeff if gmp in acc else coeff
+    return {g: v for g, v in acc.items() if v}
+
+
+@pytest.mark.parametrize("q, n", TRANSITION_SIZES)
+def test_P_to_power_theta_matches_cyclotomic_reference(q: int, n: int) -> None:
+    from ennola.charmap import _P_to_power_theta_items
+
+    big = conductor(q, n)
+    for mu in enumerate_mp(q, "phi", n):
+        items = _P_to_power_theta_items(mu)
+        assert dict(items) == _reference_P_to_power_theta(mu)
+        assert all(v.conductor == big for _, v in items)
+        back = to_basis(to_basis(pi_class(mu), "p_theta"), "P")
+        assert back.coeffs == {mu: Cyclotomic.from_rational(1)}
+
+
+def test_P_to_power_theta_keys_are_shared() -> None:
+    from ennola.charmap import _P_to_power_theta_items
+
+    seen: dict[MultiPartition, MultiPartition] = {}
+    for mu in enumerate_mp(2, "phi", 3):
+        for g, _ in _P_to_power_theta_items(mu):
+            assert seen.setdefault(g, g) is g
+
+
+def test_cross_check_routes_stay_on_cyclotomic_arithmetic() -> None:
+    # criteria 6-8 compare these against the integer-coordinate routes
+    import ennola.charmap as cm
+
+    helpers = {"_mul_into", "_multiply_blocks", "_exponents", "_coords", "_cyclotomics"}
+    for fn in (cm.star_product, cm._hall_combine_items, cm._dl_torus_sum, cm.ls_sum):
+        assert not helpers & set(getattr(fn, "__wrapped__", fn).__code__.co_names)
+
+
+# Coefficients at conductors outside conductor(2, n), mixed with rational ones
+# and with the degree-n conductors, over several denominators.
+@st.composite
+def coefficients(draw) -> Cyclotomic:
+    n = draw(st.sampled_from([1, 3, 5, 7, 8, 9]))
+    coords = draw(st.dictionaries(st.integers(0, euler_phi(n) - 1), st.integers(-3, 3), max_size=3))
+    return Cyclotomic(n, coords, draw(st.integers(1, 4)))
+
+
+@st.composite
+def elements(draw, basis: str, n: int) -> SymElement:
+    kind = "phi" if basis in ("pi", "P") else "theta"
+    keys = draw(st.lists(st.sampled_from(enumerate_mp(2, kind, n)), max_size=3, unique=True))
+    return SymElement(2, n, basis, {k: draw(coefficients()) for k in keys})
+
+
+BASES = ("pi", "P", "p_theta", "s_theta")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_to_basis_is_linear(data) -> None:
+    n = data.draw(st.sampled_from([1, 2]))
+    src, dst = data.draw(st.sampled_from(BASES)), data.draw(st.sampled_from(BASES))
+    a, b = data.draw(elements(src, n)), data.draw(elements(src, n))
+    x = data.draw(coefficients())
+    assert to_basis(a + b, dst) == to_basis(a, dst) + to_basis(b, dst)
+    assert to_basis(a.scale(x), dst) == to_basis(a, dst).scale(x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_circ_product_is_bilinear_and_commutative(data) -> None:
+    n1, n2 = data.draw(st.sampled_from([1, 2])), data.draw(st.sampled_from([1, 2]))
+    basis = data.draw(st.sampled_from(("pi", "p_theta")))
+    a, a2 = data.draw(elements(basis, n1)), data.draw(elements(basis, n1))
+    b = data.draw(elements(data.draw(st.sampled_from(("pi", "p_theta"))), n2))
+    x = data.draw(coefficients())
+    ab = circ_product(a, b)
+    assert circ_product(a + a2, b) == ab + circ_product(a2, b)
+    assert circ_product(b, a) == ab
+    assert circ_product(a.scale(x), b) == ab.scale(x)

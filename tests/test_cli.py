@@ -310,6 +310,38 @@ def test_verify_orthogonality_detects_a_perturbed_entry(capsys, monkeypatch):
     assert out.startswith("FAIL orthogonality: rows ") and last in out
 
 
+def test_verify_sameprod_4_2_stdout_is_pinned(capsys):
+    code, out, _ = run(capsys, "verify", "sameprod", "--n", "4", "--q", "2")
+    assert code == 0
+    assert out == "PASS sameprod: Ennola and induction products agree on 288 class pairs\n"
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "55d9791d02e303e970cde03cb46317857b0612d4a0703122797dce0a3b090ae3"
+    )
+
+
+def test_verify_sameprod_detects_a_perturbed_coefficient(capsys, monkeypatch):
+    from ennola import cli
+    from ennola.charmap import SymElement
+
+    real = cli.circ_product
+    calls = []
+
+    def perturbed(a, b):
+        product = real(a, b)
+        calls.append(1)
+        if len(calls) != 5:
+            return product
+        coeffs = dict(product.coeffs)
+        first = next(iter(coeffs))
+        coeffs[first] = coeffs[first] + 1
+        return SymElement(product.q, product.n, product.basis, coeffs)
+
+    monkeypatch.setattr(cli, "circ_product", perturbed)
+    code, out, _ = run(capsys, "verify", "sameprod", "--n", "3", "--q", "2")
+    assert code == 1
+    assert out.startswith("FAIL sameprod: products differ at ")
+
+
 def test_verify_converts_internal_assertions_to_fail(capsys, monkeypatch):
     from ennola import cli
 

@@ -248,6 +248,16 @@ def test_hall_polynomial_subgroup_oracle(p, size):
                     assert hall_polynomial(mu, nu, lam).eval(p) == expected
 
 
+def test_hall_polynomial_computes_each_product_once():
+    from ennola.symfunc import _hl_product
+
+    _hl_product.cache_clear()
+    for lam in partitions_of(4):
+        assert hall_polynomial((2,), (1, 1), lam) == hall_polynomial((1, 1), (2,), lam)
+    assert _hl_product.cache_info().misses == 1
+    assert isinstance(_hl_product((1, 1), (2,)), tuple)
+
+
 def test_hall_polynomial_degree_and_leading_term():
     # integer coefficients; zero iff the LR coefficient vanishes, and otherwise
     # degree n(lam) - n(mu) - n(nu) with the LR coefficient on top
