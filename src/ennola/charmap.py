@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import product as iproduct
 
-from .exactnum import Cyclotomic, _reduced
+from .exactnum import Cyclotomic, _reduced, _stored_form
 from .multipartitions import (
     MultiPartition,
     centralizer_order,
@@ -33,6 +33,7 @@ from .multipartitions import (
     enumerate_mp,
     gamma_t,
     mp_conjugate,
+    mp_of_blocks,
     mp_size,
     mp_stats,
     torus_data,
@@ -150,7 +151,9 @@ def _power_phi_to_P_items(nu: MultiPartition) -> tuple[tuple[MultiPartition, int
 
     The coefficient of the element at mu is the product over point orbits of
     classical Green polynomials evaluated at (-q)^d, and vanishes unless mu
-    assigns each orbit the same total as nu.
+    assigns each orbit the same total as nu. Each class mu is the shared
+    object of its block key, so equal classes are one object across every
+    cached expansion.
     """
     per_orbit = []
     for orb, parts in nu.assignment:
@@ -163,8 +166,8 @@ def _power_phi_to_P_items(nu: MultiPartition) -> tuple[tuple[MultiPartition, int
         per_orbit.append(opts)
     out = []
     for combo in iproduct(*per_orbit):
-        mp = MultiPartition(nu.kind, nu.q, tuple((orb, mu) for orb, mu, _ in combo))
-        out.append((mp, math.prod(g for _, _, g in combo)))
+        key = tuple((orb.size, orb.residue, part) for orb, mu, _ in combo for part in reversed(mu))
+        out.append((mp_of_blocks(nu.kind, nu.q, key), math.prod(g for _, _, g in combo)))
     out.sort(key=lambda kv: kv[0].sort_key())
     return tuple(out)
 
@@ -195,30 +198,6 @@ def _multiply_blocks(big: int, blocks, start: int = 1) -> dict[tuple, dict[int, 
                 _mul_into(grown.setdefault(tuple(sorted(key + (part,))), {}), vec.items(), terms, big)
         state = grown
     return state
-
-
-@cache
-def _orbit(kind: str, q: int, size: int, residue: int) -> OrbitId:
-    """One shared, validated orbit object per (kind, q, size, residue)."""
-    return OrbitId(kind, q, size, residue)
-
-
-def _mp_of_blocks(kind: str, q: int, key: tuple) -> MultiPartition:
-    """The multipartition of a sorted tuple of (orbit size, orbit residue,
-    part) blocks."""
-    parts: dict[tuple[int, int], list[int]] = {}
-    for size, residue, power in key:
-        parts.setdefault((size, residue), []).append(power)
-    return MultiPartition(
-        kind, q, tuple((_orbit(kind, q, *f), tuple(reversed(ps))) for f, ps in parts.items())
-    )
-
-
-@cache
-def _theta_mp(q: int, key: tuple) -> MultiPartition:
-    """Character-orbit multipartition of a block key, built once per key, so
-    equal keys are one object across every cached expansion."""
-    return _mp_of_blocks("theta", q, key)
 
 
 def _cyclotomics(acc: dict, big: int, den: int) -> dict:
@@ -253,7 +232,7 @@ def _power_theta_to_P_items(gamma: MultiPartition) -> tuple[tuple[MultiPartition
             blocks.append(opts)
     acc: dict[MultiPartition, dict[int, int]] = {}
     for key, vec in _multiply_blocks(big, blocks).items():
-        for mu, g in _power_phi_to_P_items(_mp_of_blocks("phi", q, key)):
+        for mu, g in _power_phi_to_P_items(mp_of_blocks("phi", q, key)):
             out = acc.setdefault(mu, {})
             for e, x in vec.items():
                 out[e] = out.get(e, 0) + g * x
@@ -369,7 +348,7 @@ def _P_to_power_theta_items(mu: MultiPartition) -> tuple[tuple[MultiPartition, C
             out = acc.setdefault(key, {})
             for e, x in vec.items():
                 out[e] = out.get(e, 0) + x
-    items = ((_theta_mp(q, key), v) for key, v in _cyclotomics(acc, big, den).items())
+    items = ((mp_of_blocks("theta", q, key), v) for key, v in _cyclotomics(acc, big, den).items())
     return tuple(sorted(((g, v) for g, v in items if v), key=lambda kv: kv[0].sort_key()))
 
 
@@ -530,11 +509,11 @@ def expand_schur(label: CharLabel | MultiPartition) -> SymElement:
     return to_basis(schur(lam), "P")
 
 
-def _row_values(label: CharLabel) -> dict[MultiPartition, Cyclotomic]:
+def _row_coords(label: CharLabel) -> tuple[dict[MultiPartition, dict[int, int]], int]:
     """One table row at the common conductor, keyed by class: sign(label)
     times the sum over torus labels gamma of (chi(gamma)/z_gamma) T(gamma),
-    T the p_theta to P transition, summed as integer coordinates over one
-    denominator."""
+    T the p_theta to P transition, summed as integer coordinates over the
+    returned denominator."""
     items = _schur_items(label.lam)
     den = math.lcm(*(c.denominator for _, c in items))
     sign = label.sign()
@@ -545,6 +524,12 @@ def _row_values(label: CharLabel) -> dict[MultiPartition, Cyclotomic]:
             out = acc.setdefault(mu, {})
             for i, x in v.terms:
                 out[i] = out.get(i, 0) + f * x
+    return acc, den
+
+
+def _row_values(label: CharLabel) -> dict[MultiPartition, Cyclotomic]:
+    """One table row at the common conductor, one ``Cyclotomic`` per class."""
+    acc, den = _row_coords(label)
     big = conductor(label.q, label.n)
     return {mu: Cyclotomic(big, coords, den) for mu, coords in acc.items()}
 
@@ -596,13 +581,20 @@ class CharTable:
     def entry(self, label: CharLabel, mu: MultiPartition) -> Cyclotomic:
         return self.values[self.rows.index(label)][self.cols.index(mu)]
 
+    def rendered(self, render) -> list[list]:
+        """The grid of values passed through ``render``, called once per
+        distinct entry object (``char_table`` shares equal entries)."""
+        distinct = {id(v): v for row in self.values for v in row}
+        out = {key: render(v) for key, v in distinct.items()}
+        return [[out[id(v)] for v in row] for row in self.values]
+
     def to_json(self) -> dict:
         return {
             "n": self.n,
             "q": self.q,
             "rows": [label.to_json() for label in self.rows],
             "cols": [mu.to_json() for mu in self.cols],
-            "values": [[v.to_json() for v in row] for row in self.values],
+            "values": self.rendered(Cyclotomic.to_json),
             "class_sizes": list(self.class_sizes),
         }
 
@@ -617,20 +609,34 @@ def char_table_row(label: CharLabel, cols: tuple[MultiPartition, ...]) -> tuple[
 def char_table(n: int, q: int) -> CharTable:
     """Character table of the rank-n unitary group over the q^2 field.
 
-    Rows and columns follow the canonical multipartition order. Equal entries
-    are one shared object: a table holds few distinct values.
+    Rows and columns follow the canonical multipartition order. Each class
+    is one shared object: the columns and the class keys of every row's
+    transition items are the same ``mp_of_blocks`` objects, so row lookups
+    hit by identity. Equal entries are one shared object too: a table holds
+    few distinct values, so each row's integer coordinates are brought to
+    their stored form and one ``Cyclotomic`` is built per distinct form,
+    zero included.
     """
     if n < 1:
         raise ValueError("rank must be positive")
     rows = tuple(CharLabel(lam) for lam in enumerate_mp(q, "theta", n))
     cols = tuple(enumerate_mp(q, "phi", n))
+    big = conductor(q, n)
     interned: dict[tuple, Cyclotomic] = {}
-    values = tuple(
-        tuple(interned.setdefault((v.terms, v.den), v) for v in char_table_row(label, cols))
-        for label in rows
-    )
+
+    def entry(coords: dict[int, int], den: int) -> Cyclotomic:
+        form = _stored_form(coords, den)
+        v = interned.get(form)
+        if v is None:
+            v = interned[form] = Cyclotomic(big, dict(form[0]), form[1])
+        return v
+
+    values = []
+    for label in rows:
+        acc, den = _row_coords(label)
+        values.append(tuple(entry(acc.get(mu, {}), den) for mu in cols))
     sizes = tuple(class_size(mu) for mu in cols)
-    return CharTable(n, q, rows, cols, values, sizes)
+    return CharTable(n, q, rows, cols, tuple(values), sizes)
 
 
 def dl_character(nu: MultiPartition, check: bool = True) -> SymElement:
@@ -804,5 +810,8 @@ def circ_product(a: SymElement, b: SymElement) -> SymElement:
     for k1, t1 in left:
         for k2, t2 in right:
             _mul_into(acc.setdefault(tuple(sorted(k1 + k2)), {}), t1, t2, big)
-    coeffs = {_theta_mp(q, key): v for key, v in _cyclotomics(acc, big, dens[0] * dens[1]).items()}
+    coeffs = {
+        mp_of_blocks("theta", q, key): v
+        for key, v in _cyclotomics(acc, big, dens[0] * dens[1]).items()
+    }
     return SymElement(q, a.n + b.n, "p_theta", coeffs)

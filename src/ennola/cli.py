@@ -15,7 +15,9 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -96,16 +98,17 @@ def cyc_text(v: Cyclotomic) -> str:
     >>> cyc_text(Cyclotomic.from_rational(Fraction(-1, 2)))
     '-1/2'
     """
-    if v.is_rational():
-        return str(v.rational_value())
+    if not v.terms:
+        return "0"
     parts = []
     for i, c in v.terms:
-        c = Fraction(c, v.den)
+        g = math.gcd(c, v.den)
+        size = str(abs(c) // g) + ("" if g == v.den else f"/{v.den // g}")
         if i == 0:
-            body = str(abs(c))
+            body = size
         else:
             var = f"z{v.conductor}" + (f"^{i}" if i > 1 else "")
-            body = var if abs(c) == 1 else f"{abs(c)}*{var}"
+            body = var if size == "1" else f"{size}*{var}"
         parts.append(("-" if c < 0 else "+", body))
     return _signed_join(parts)
 
@@ -145,7 +148,13 @@ def float_text(z: complex) -> str:
 
 
 def _emit_json(doc: dict) -> None:
-    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+    # written in batches of encoder chunks: the indented encoder yields many
+    # small ones, json.dumps holds them all at once (2.5 GB for chartable
+    # --n 4 --q 3), and writing each one to stdout doubles the time
+    chunks = json.JSONEncoder(indent=2).iterencode(doc)
+    while batch := "".join(itertools.islice(chunks, 1 << 16)):
+        sys.stdout.write(batch)
+    sys.stdout.write("\n")
 
 
 def _emit_csv(header: list[str], rows: list[list[str]]) -> None:
@@ -253,14 +262,14 @@ def _cmd_chartable(args: argparse.Namespace) -> int:
     header = [""] + [mp_text(mu) for mu in table.cols]
     if args.format == "csv":
         rows = [
-            [mp_text(label.lam)] + [cyc_text(v) for v in row]
-            for label, row in zip(table.rows, table.values)
+            [mp_text(label.lam)] + row
+            for label, row in zip(table.rows, table.rendered(cyc_text))
         ]
         _emit_csv(header, rows)
     else:
         rows = [
-            [mp_text(label.lam)] + [float_text(v.approx()) for v in row]
-            for label, row in zip(table.rows, table.values)
+            [mp_text(label.lam)] + row
+            for label, row in zip(table.rows, table.rendered(lambda v: float_text(v.approx())))
         ]
         order = unitary_group_order(args.q, args.n)
         sys.stdout.write(

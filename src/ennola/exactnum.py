@@ -304,6 +304,27 @@ def _reduced(n: int, powers) -> dict[int, int]:
     return acc
 
 
+def _stored_form(coords: dict[int, int], den: int) -> tuple[tuple[tuple[int, int], ...], int]:
+    """The (terms, den) a ``Cyclotomic`` stores for the coordinates over den:
+    the nonzero (index, coordinate) pairs sorted by index, over a positive
+    denominator that shares no factor with them. Zero is ((), 1).
+
+    >>> _stored_form({2: 0, 1: -4, 0: 2}, -6)
+    (((0, -1), (1, 2)), 3)
+    """
+    terms = sorted([t for t in coords.items() if t[1]])
+    if den != 1:
+        if den == 0:
+            raise ZeroDivisionError("zero denominator")
+        if den < 0:
+            terms, den = [(i, -c) for i, c in terms], -den
+        g = math.gcd(den, *[c for _, c in terms])
+        if g > 1:
+            terms = [(i, c // g) for i, c in terms]
+            den //= g
+    return tuple(terms), den
+
+
 @dataclasses.dataclass(init=False, frozen=True, slots=True)
 class Cyclotomic:
     """Element of Q(zeta_N), stored sparsely: the nonzero integer coordinates
@@ -344,25 +365,15 @@ class Cyclotomic:
         self, conductor: int, num: tuple[int, ...] | list[int] | dict[int, int], den: int = 1
     ):
         d = euler_phi(conductor)
-        if isinstance(num, dict):
-            terms = sorted([t for t in num.items() if t[1]])
-            if terms and (terms[0][0] < 0 or terms[-1][0] >= d):
-                raise ValueError(f"coordinate index out of range at conductor {conductor}")
-        else:
+        if not isinstance(num, dict):
             if len(num) != d:
                 raise ValueError(f"need {d} coordinates at conductor {conductor}, got {len(num)}")
-            terms = [(i, c) for i, c in enumerate(num) if c]
-        if den != 1:
-            if den == 0:
-                raise ZeroDivisionError("zero denominator")
-            if den < 0:
-                terms, den = [(i, -c) for i, c in terms], -den
-            g = math.gcd(den, *[c for _, c in terms])
-            if g > 1:
-                terms = [(i, c // g) for i, c in terms]
-                den //= g
+            num = dict(enumerate(num))
+        terms, den = _stored_form(num, den)
+        if terms and (terms[0][0] < 0 or terms[-1][0] >= d):
+            raise ValueError(f"coordinate index out of range at conductor {conductor}")
         _setattr(self, "conductor", conductor)
-        _setattr(self, "terms", tuple(terms))
+        _setattr(self, "terms", terms)
         _setattr(self, "den", den)
 
     @property

@@ -43,7 +43,13 @@ def general_linear_order(q: int, n: int) -> int:
 
 @dataclass(frozen=True)
 class MultiPartition:
-    """Finite map from orbits to nonempty partitions, canonically sorted."""
+    """Finite map from orbits to nonempty partitions, canonically sorted.
+
+    The hash is the hash of the three fields, computed once at construction:
+    class keys are looked up far more often than they are built. String
+    hashes differ between processes, so pickling keeps only the fields and
+    loading computes the hash afresh.
+    """
 
     kind: str
     q: int
@@ -65,6 +71,13 @@ class MultiPartition:
         if len({orb for orb, _ in blocks}) != len(blocks):
             raise ValueError("repeated orbit in assignment")
         object.__setattr__(self, "assignment", tuple(blocks))
+        object.__setattr__(self, "_hash", hash((self.kind, self.q, self.assignment)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> tuple:
+        return MultiPartition, (self.kind, self.q, self.assignment)
 
     def part(self, orb: OrbitId) -> Partition:
         for other, lam in self.assignment:
@@ -80,6 +93,30 @@ class MultiPartition:
 
     def to_json(self) -> list:
         return [[orb.to_json(), list(lam)] for orb, lam in self.assignment]
+
+
+@cache
+def _orbit(kind: str, q: int, size: int, residue: int) -> OrbitId:
+    """One shared, validated orbit object per (kind, q, size, residue)."""
+    return OrbitId(kind, q, size, residue)
+
+
+@cache
+def mp_of_blocks(kind: str, q: int, key: tuple) -> MultiPartition:
+    """The multipartition of a sorted tuple of (orbit size, orbit residue,
+    part) blocks, built once per key: equal keys give one shared object,
+    and ``enumerate_mp`` lists these same objects.
+
+    >>> nu = mp_of_blocks("phi", 2, ((1, 0, 1), (1, 0, 2)))
+    >>> nu.assignment[0][1], any(mu is nu for mu in enumerate_mp(2, "phi", 3))
+    ((2, 1), True)
+    """
+    parts: dict[tuple[int, int], list[int]] = {}
+    for size, residue, power in key:
+        parts.setdefault((size, residue), []).append(power)
+    return MultiPartition(
+        kind, q, tuple((_orbit(kind, q, *f), tuple(reversed(ps))) for f, ps in parts.items())
+    )
 
 
 def mp_size(nu: MultiPartition) -> int:
@@ -143,7 +180,8 @@ def _enumerate_mp(q: int, kind: str, n: int) -> tuple[MultiPartition, ...]:
 
     def assign(index: int, remaining: int, blocks: tuple) -> None:
         if remaining == 0:
-            found.append(MultiPartition(kind, q, blocks))
+            key = tuple((orb.size, orb.residue, p) for orb, lam in blocks for p in reversed(lam))
+            found.append(mp_of_blocks(kind, q, key))
             return
         if index == len(orbs):
             return

@@ -430,7 +430,7 @@ def test_char_table_row_order_is_stable() -> None:
         assert char_table_row(label, table.cols) == table.values[i]
 
 
-@pytest.mark.parametrize("n, q", [(3, 2), (2, 3), (3, 3)])
+@pytest.mark.parametrize("n, q", [(3, 2), (2, 3), (3, 3), (4, 2)])
 def test_table_rows_match_the_generic_schur_expansion(n: int, q: int) -> None:
     # the right-hand side goes through to_basis, one SymElement per basis
     table = char_table(n, q)
@@ -514,6 +514,17 @@ def test_P_to_power_theta_keys_are_shared() -> None:
     for mu in enumerate_mp(2, "phi", 3):
         for g, _ in _P_to_power_theta_items(mu):
             assert seen.setdefault(g, g) is g
+
+
+@pytest.mark.parametrize("n, q", [(3, 3), (4, 2)])
+def test_power_theta_to_P_keys_are_shared(n: int, q: int) -> None:
+    # one object per class, and it is the table's column object
+    from ennola.charmap import _power_theta_to_P_items
+
+    seen = {mu: mu for mu in enumerate_mp(q, "phi", n)}
+    for gamma in enumerate_mp(q, "theta", n):
+        for mu, _ in _power_theta_to_P_items(gamma):
+            assert seen.setdefault(mu, mu) is mu
 
 
 def test_cross_check_routes_stay_on_cyclotomic_arithmetic() -> None:

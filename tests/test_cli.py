@@ -40,6 +40,10 @@ def test_cyc_text_values():
     assert cyc_text(z * 2) == "2*z3"
     assert cyc_text(z * z) == "-1-z3"
     assert cyc_text(Cyclotomic.root(9) ** 2 * -1) == "-z9^2"
+    # each term in lowest terms, over the value's common denominator
+    assert cyc_text(Cyclotomic(3, {0: 1, 1: 2}, 4)) == "1/4+1/2*z3"
+    assert cyc_text(Cyclotomic(4, {0: 3, 1: -2}, 6)) == "1/2-1/3*z4"
+    assert cyc_text(Cyclotomic(5, {2: -5, 3: 1}, 5)) == "-z5^2+1/5*z5^3"
 
 
 def test_qpoly_text_values():
@@ -109,6 +113,18 @@ def test_chartable_text_stdout_is_pinned(capsys, fmt, size, digest):
     data = out.encode()
     assert len(data) == size
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+def test_chartable_4_3_pretty_stdout_is_pinned(capsys):
+    # 188 rows of float text at conductor 560, each distinct entry rendered once
+    code, out, _ = run(capsys, "chartable", "--n", "4", "--q", "3", "--format", "pretty")
+    assert code == 0
+    data = out.encode()
+    assert len(data) == 700099
+    assert (
+        hashlib.sha256(data).hexdigest()
+        == "981495523c57ef68f814c9c622fa75c3c636523a364aab1696431390dd73ab6a"
+    )
 
 
 def test_chartable_5_2_csv_stdout_is_pinned(capsys):

@@ -1,5 +1,10 @@
+import dataclasses
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -44,6 +49,54 @@ def test_multipartition_validation():
     assert [orb.size for orb in mp.orbits()] == [1, 3]
     assert mp.part(trivial) == (2,)
     assert mp.part(OrbitId("phi", 2, 1, 1)) == ()
+
+
+def test_cached_hash_agrees_with_equality():
+    triv, cubic = OrbitId("phi", 2, 1, 0), OrbitId("phi", 2, 3, 1)
+    from_dict = MultiPartition("phi", 2, {cubic: (1,), triv: [2]})
+    from_tuple = MultiPartition("phi", 2, ((cubic, (1,)), (triv, (2,))))
+    assert from_dict is not from_tuple
+    assert from_dict == from_tuple
+    assert hash(from_dict) == hash(from_tuple)
+    assert {from_dict: 1}[from_tuple] == 1
+    assert [f.name for f in dataclasses.fields(MultiPartition)] == ["kind", "q", "assignment"]
+
+
+_PICKLE_SCRIPT = """
+import pickle, sys
+from ennola.multipartitions import MultiPartition
+from ennola.orbits import OrbitId
+
+def build():
+    return MultiPartition("phi", 3, {OrbitId("phi", 3, 2, 1): (2,), OrbitId("phi", 3, 1, 0): (2, 1)})
+
+if sys.argv[1] == "dump":
+    print(pickle.dumps(build()).hex(), hash(build()))
+else:
+    loaded = pickle.loads(bytes.fromhex(sys.stdin.read().split()[0]))
+    print({build(): "found"}.get(loaded, "missing"), hash(build()))
+"""
+
+
+def test_pickled_multipartition_is_found_under_another_hash_seed():
+    # string hashes differ between processes, so a hash cached at
+    # construction must not travel with the pickle
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH", "")) if p)
+
+    def run(seed: str, mode: str, stdin: str = "") -> list[str]:
+        proc = subprocess.run(
+            [sys.executable, "-c", _PICKLE_SCRIPT, mode], input=stdin,
+            env={**env, "PYTHONHASHSEED": seed}, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.split()
+
+    dumped, hash_1 = run("1", "dump")
+    found, hash_2 = run("2", "load", dumped)
+    assert hash_1 != hash_2
+    assert found == "found"
 
 
 def _example_18() -> MultiPartition:
