@@ -103,12 +103,12 @@ def cyc_text(v: Cyclotomic) -> str:
     parts = []
     for i, c in v.terms:
         g = math.gcd(c, v.den)
-        size = str(abs(c) // g) + ("" if g == v.den else f"/{v.den // g}")
+        magnitude = str(abs(c) // g) + ("" if g == v.den else f"/{v.den // g}")
         if i == 0:
-            body = size
+            body = magnitude
         else:
             var = f"z{v.conductor}" + (f"^{i}" if i > 1 else "")
-            body = var if size == "1" else f"{size}*{var}"
+            body = var if magnitude == "1" else f"{magnitude}*{var}"
         parts.append(("-" if c < 0 else "+", body))
     return _signed_join(parts)
 
