@@ -297,10 +297,6 @@ def _fp_add(F: GF, a: IntPoly, b: IntPoly) -> IntPoly:
     return _ptrim(out)
 
 
-def _fp_scale(F: GF, a: IntPoly, c: int) -> IntPoly:
-    return _ptrim([F.mul(x, c) for x in a])
-
-
 def _fp_divmod(F: GF, a: IntPoly, b: IntPoly) -> tuple[IntPoly, IntPoly]:
     if not b:
         raise ZeroDivisionError("polynomial division by zero")

@@ -14,7 +14,10 @@ character table.
 
 Elements are exact: coefficients are cyclotomic numbers, and every basis
 conversion is a finite integer or rational linear map (symmetric group
-characters, Green polynomial evaluations, and the orbit transform).
+characters, Green polynomial evaluations, and the orbit transform). The
+conversions run along s_theta <-> p_theta <-> P, and pi shares the
+coefficients of P. Each step factors over orbits: one row entry is chosen
+per block, and the entries multiply.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from .multipartitions import (
     torus_data,
 )
 from .orbits import CyclicElt, OrbitId, char_eval, enumerate_orbits, level_order, transform_p
-from .partitions import Partition, partitions_of
+from .partitions import Partition, partitions_of, z_stat
 from .symfunc import green_poly, hall_polynomial, sn_char
 
 _BASIS_KIND = {"P": "phi", "pi": "phi", "p_theta": "theta", "s_theta": "theta"}
@@ -138,6 +141,25 @@ def schur(lam: MultiPartition) -> SymElement:
     return SymElement(lam.q, mp_size(lam), "s_theta", {lam: Cyclotomic.from_rational(1)})
 
 
+def _blockwise(mp: MultiPartition, rows) -> tuple[tuple[MultiPartition, object], ...]:
+    """Multiply out a basis change that factors over orbits, in canonical order.
+
+    ``rows(orb, block)`` lists the (partition, coefficient) pairs one block
+    of ``mp`` expands to. Each choice of one pair per block gives the product
+    of its coefficients at the shared ``mp_of_blocks`` object of its key.
+    """
+    per_orbit = [
+        [(tuple((orb.size, orb.residue, p) for p in reversed(part)), cf)
+         for part, cf in rows(orb, bl)]
+        for orb, bl in mp.assignment
+    ]
+    out = []
+    for combo in iproduct(*per_orbit):
+        key = tuple(b for blocks, _ in combo for b in blocks)
+        out.append((mp_of_blocks(mp.kind, mp.q, key), math.prod(cf for _, cf in combo)))
+    return tuple(sorted(out, key=lambda kv: kv[0].sort_key()))
+
+
 def _green_block(nu: Partition, mu: Partition, t: int) -> int:
     val = green_poly(nu, mu).eval(t)
     if val.denominator != 1:
@@ -146,30 +168,21 @@ def _green_block(nu: Partition, mu: Partition, t: int) -> int:
 
 
 @cache
+def _green_row(nu: Partition, t: int) -> tuple[tuple[Partition, int], ...]:
+    """One single-orbit power sum at parameter value t, written in
+    Hall-Littlewood elements: the nonzero Green polynomial values at t."""
+    return tuple((mu, g) for mu in partitions_of(sum(nu)) if (g := _green_block(nu, mu, t)))
+
+
+@cache
 def _power_phi_to_P_items(nu: MultiPartition) -> tuple[tuple[MultiPartition, int], ...]:
     """Expand a point-orbit power sum in the Hall-Littlewood basis.
 
     The coefficient of the element at mu is the product over point orbits of
     classical Green polynomials evaluated at (-q)^d, and vanishes unless mu
-    assigns each orbit the same total as nu. Each class mu is the shared
-    object of its block key, so equal classes are one object across every
-    cached expansion.
+    assigns each orbit the same total as nu.
     """
-    per_orbit = []
-    for orb, parts in nu.assignment:
-        t = (-orb.q) ** orb.size
-        opts = []
-        for mu in partitions_of(sum(parts)):
-            g = _green_block(parts, mu, t)
-            if g:
-                opts.append((orb, mu, g))
-        per_orbit.append(opts)
-    out = []
-    for combo in iproduct(*per_orbit):
-        key = tuple((orb.size, orb.residue, part) for orb, mu, _ in combo for part in reversed(mu))
-        out.append((mp_of_blocks(nu.kind, nu.q, key), math.prod(g for _, _, g in combo)))
-    out.sort(key=lambda kv: kv[0].sort_key())
-    return tuple(out)
+    return _blockwise(nu, lambda orb, parts: _green_row(parts, (-orb.q) ** orb.size))
 
 
 def _mul_into(out: dict[int, int], a, b, big: int) -> None:
@@ -320,14 +333,9 @@ def _P_to_power_theta_items(mu: MultiPartition) -> tuple[tuple[MultiPartition, C
     """
     q = mu.q
     big = conductor(q, mp_size(mu))
-    per_orbit = [
-        [(orb, nu, cf) for nu, cf in _hl_to_power_row(lam, (-q) ** orb.size)]
-        for orb, lam in mu.assignment
-    ]
     combos = []
-    for combo in iproduct(*per_orbit):
-        frac = math.prod((cf for _, _, cf in combo), start=Fraction(1))
-        blocks = [(orb, c) for orb, nu, _ in combo for c in nu]
+    for nu, frac in _blockwise(mu, lambda orb, lam: _hl_to_power_row(lam, (-q) ** orb.size)):
+        blocks = [(orb, c) for orb, parts in nu.assignment for c in parts]
         d = frac.denominator * math.prod(level_order(q, c * orb.size) for orb, c in blocks)
         combos.append((frac.numerator, blocks, d))
     den = math.lcm(*(d for _, _, d in combos))
@@ -353,16 +361,27 @@ def _P_to_power_theta_items(mu: MultiPartition) -> tuple[tuple[MultiPartition, C
 
 
 @cache
-def _schur_to_power_factors(lam: Partition) -> tuple[tuple[Partition, Fraction], ...]:
+def _schur_to_power_row(lam: Partition) -> tuple[tuple[Partition, Fraction], ...]:
     """One-orbit Schur expansion s_lam = sum_nu (omega^lam(nu)/z_nu) p_nu."""
-    from .partitions import z_stat
+    return tuple(
+        (nu, Fraction(w, z_stat(nu))) for nu in partitions_of(sum(lam)) if (w := sn_char(lam, nu))
+    )
 
-    out = []
-    for nu in partitions_of(sum(lam)):
-        w = sn_char(lam, nu)
-        if w:
-            out.append((nu, Fraction(w, z_stat(nu))))
-    return tuple(out)
+
+@cache
+def _power_to_schur_row(nu: Partition) -> tuple[tuple[Partition, int], ...]:
+    """One-orbit power sum p_nu = sum_lam omega^lam(nu) s_lam."""
+    return tuple((lam, w) for lam in partitions_of(sum(nu)) if (w := sn_char(lam, nu)))
+
+
+@cache
+def _schur_items(lam: MultiPartition) -> tuple[tuple[MultiPartition, Fraction], ...]:
+    return _blockwise(lam, lambda orb, block: _schur_to_power_row(block))
+
+
+@cache
+def _power_to_schur_items(gamma: MultiPartition) -> tuple[tuple[MultiPartition, int], ...]:
+    return _blockwise(gamma, lambda orb, nu: _power_to_schur_row(nu))
 
 
 def _coords(v: Cyclotomic | Fraction | int) -> tuple[int, tuple[tuple[int, int], ...], int]:
@@ -383,15 +402,16 @@ def _exponents(v: Cyclotomic | Fraction | int, big: int, den: int) -> list[tuple
     return [(i * step, x * scale) for i, x in terms]
 
 
-def _expand_linear(elem: SymElement, items_of, out_basis: str) -> SymElement:
-    """Apply a linear map given on basis elements by ``items_of``.
+def _expand_linear(coeffs: dict[MultiPartition, Cyclotomic], items_of) -> dict:
+    """Apply a linear map given on basis elements by ``items_of`` to the
+    coefficients of an element; zero results are dropped.
 
     Products and sums are integer coordinates over exponents mod L, L the lcm
     of the conductors that the coefficients and the map's values carry
     (rational values count as conductor 1), over one common denominator.
     Each result is reduced once and written at L.
     """
-    rows = [(c, items_of(mp)) for mp, c in elem.coeffs.items()]
+    rows = [(c, items_of(mp)) for mp, c in coeffs.items()]
     conductors, dens = {c.conductor for c, _ in rows}, set()
     for _, items in rows:
         for _, v in items:
@@ -405,65 +425,37 @@ def _expand_linear(elem: SymElement, items_of, out_basis: str) -> SymElement:
         cterms = _exponents(c, big, den_c)
         for target, v in items:
             _mul_into(acc.setdefault(target, {}), cterms, _exponents(v, big, den_v), big)
-    return SymElement(elem.q, elem.n, out_basis, _cyclotomics(acc, big, den_c * den_v))
+    return {key: v for key, v in _cyclotomics(acc, big, den_c * den_v).items() if v}
 
 
-def _schur_items(lam: MultiPartition) -> list[tuple[MultiPartition, Fraction]]:
-    per_orbit = [
-        [(orb, nu, cf) for nu, cf in _schur_to_power_factors(blam)]
-        for orb, blam in lam.assignment
-    ]
-    out = []
-    for combo in iproduct(*per_orbit):
-        gamma = MultiPartition(lam.kind, lam.q, tuple((orb, nu) for orb, nu, _ in combo))
-        out.append((gamma, math.prod((cf for _, _, cf in combo), start=Fraction(1))))
-    return out
-
-
-def _power_to_schur_items(gamma: MultiPartition) -> list[tuple[MultiPartition, int]]:
-    per_orbit = []
-    for orb, nu in gamma.assignment:
-        opts = []
-        for lam in partitions_of(sum(nu)):
-            w = sn_char(lam, nu)
-            if w:
-                opts.append((orb, lam, w))
-        per_orbit.append(opts)
-    out = []
-    for combo in iproduct(*per_orbit):
-        lam = MultiPartition(gamma.kind, gamma.q, tuple((orb, bl) for orb, bl, _ in combo))
-        out.append((lam, math.prod(w for _, _, w in combo)))
-    return out
+_STEPS = {
+    ("s_theta", "p_theta"): _schur_items,
+    ("p_theta", "s_theta"): _power_to_schur_items,
+    ("p_theta", "P"): _power_theta_to_P_items,
+    ("P", "p_theta"): _P_to_power_theta_items,
+}
 
 
 def to_basis(elem: SymElement, basis: str) -> SymElement:
-    """Rewrite an element in another basis; every route is exact."""
+    """Rewrite an element in another basis; every route is exact: ``pi``
+    shares the coefficients of ``P``, and other routes pass through ``p_theta``."""
     if basis not in _BASIS_KIND:
         raise ValueError(f"unknown basis {basis!r}")
-    src = elem.basis
-    if src == basis:
+    if elem.basis == basis:
         return elem
-    if src == "pi":
-        retagged = SymElement(elem.q, elem.n, "P", dict(elem.coeffs))
-        return to_basis(retagged, basis)
-    if basis == "pi":
-        return SymElement(elem.q, elem.n, "pi", dict(to_basis(elem, "P").coeffs))
-    if src == "s_theta":
-        return to_basis(_expand_linear(elem, _schur_items, "p_theta"), basis)
-    if src == "p_theta" and basis == "P":
-        return _expand_linear(elem, _power_theta_to_P_items, "P")
-    if src == "p_theta" and basis == "s_theta":
-        return _expand_linear(elem, _power_to_schur_items, "s_theta")
-    if src == "P":
-        return to_basis(_expand_linear(elem, _P_to_power_theta_items, "p_theta"), basis)
-    raise AssertionError(f"no conversion from {src} to {basis}")
+    src, dst = ("P" if b == "pi" else b for b in (elem.basis, basis))
+    coeffs = elem.coeffs
+    if src != dst:
+        for step in [(src, dst)] if (src, dst) in _STEPS else [(src, "p_theta"), ("p_theta", dst)]:
+            coeffs = _expand_linear(coeffs, _STEPS[step])
+    return SymElement(elem.q, elem.n, basis, coeffs)
 
 
 def ch(elem: SymElement) -> SymElement:
     """The characteristic map: class indicators to Hall-Littlewood elements."""
     if elem.basis != "pi":
         raise ValueError("the characteristic map applies to class functions")
-    return SymElement(elem.q, elem.n, "P", dict(elem.coeffs))
+    return to_basis(elem, "P")
 
 
 def ch_inverse(elem: SymElement) -> SymElement:
@@ -527,17 +519,14 @@ def _row_coords(label: CharLabel) -> tuple[dict[MultiPartition, dict[int, int]],
     return acc, den
 
 
-def _row_values(label: CharLabel) -> dict[MultiPartition, Cyclotomic]:
-    """One table row at the common conductor, one ``Cyclotomic`` per class."""
+def character_row(label: CharLabel | MultiPartition) -> SymElement:
+    """The irreducible character of a label, as coefficients on class
+    indicators, at the common conductor."""
+    label = label if isinstance(label, CharLabel) else CharLabel(label)
     acc, den = _row_coords(label)
     big = conductor(label.q, label.n)
-    return {mu: Cyclotomic(big, coords, den) for mu, coords in acc.items()}
-
-
-def character_row(label: CharLabel | MultiPartition) -> SymElement:
-    """The irreducible character of a label, as coefficients on class indicators."""
-    label = label if isinstance(label, CharLabel) else CharLabel(label)
-    return SymElement(label.q, label.n, "pi", _row_values(label))
+    values = {mu: Cyclotomic(big, coords, den) for mu, coords in acc.items()}
+    return SymElement(label.q, label.n, "pi", values)
 
 
 def identity_column_entry(label: CharLabel | MultiPartition) -> int:
@@ -597,13 +586,6 @@ class CharTable:
             "values": self.rendered(Cyclotomic.to_json),
             "class_sizes": list(self.class_sizes),
         }
-
-
-def char_table_row(label: CharLabel, cols: tuple[MultiPartition, ...]) -> tuple[Cyclotomic, ...]:
-    """One table row over the given column order, at the common conductor."""
-    values = _row_values(label)
-    zero = Cyclotomic.zero(conductor(label.q, label.n))
-    return tuple(values.get(mu, zero) for mu in cols)
 
 
 def char_table(n: int, q: int) -> CharTable:
@@ -721,8 +703,7 @@ def inner_product(a: SymElement, b: SymElement) -> Cyclotomic:
         raise ValueError("mismatched q")
     if a.n != b.n:
         raise ValueError(f"degree mismatch: {a.n} vs {b.n}")
-    left = to_basis(a, "P") if a.basis != "P" else a
-    right = to_basis(b, "P") if b.basis != "P" else b
+    left, right = to_basis(a, "P"), to_basis(b, "P")
     total = Cyclotomic.zero(1)
     for mu, u in left.coeffs.items():
         v = right.coeffs.get(mu)

@@ -248,9 +248,6 @@ class QPoly:
             total += c * v**e
         return total
 
-    def is_polynomial(self) -> bool:
-        return all(e >= 0 for e, _ in self.coeffs)
-
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for _, c in self.coeffs)
 

@@ -8,6 +8,7 @@ combinatorial side of that correspondence.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -275,18 +276,8 @@ def torus_data(nu: MultiPartition) -> TorusData:
     """
     sizes = [(orb, sum(lam)) for orb, lam in nu.assignment]
     weyl_order = math.prod(math.factorial(m) for _, m in sizes)
-
-    def products(index: int, blocks: tuple) -> list[tuple]:
-        if index == len(sizes):
-            return [blocks]
-        orb, m = sizes[index]
-        out = []
-        for lam in partitions_of(m):
-            out.extend(products(index + 1, blocks + ((orb, lam),)))
-        return out
-
     labels = []
-    for blocks in products(0, ()):
+    for blocks in itertools.product(*([(orb, lam) for lam in partitions_of(m)] for orb, m in sizes)):
         gamma = MultiPartition(nu.kind, nu.q, blocks)
         z = math.prod(z_stat(lam) for _, lam in blocks)
         factors = tuple(

@@ -21,7 +21,6 @@ from ennola.charmap import (
     ch,
     ch_inverse,
     char_table,
-    char_table_row,
     character_row,
     circ_product,
     conductor,
@@ -427,7 +426,8 @@ def test_table_json_shape() -> None:
 def test_char_table_row_order_is_stable() -> None:
     table = char_table(2, 2)
     for i, label in enumerate(table.rows):
-        assert char_table_row(label, table.cols) == table.values[i]
+        chi = character_row(label)
+        assert tuple(chi.coefficient(mu) for mu in table.cols) == table.values[i]
 
 
 @pytest.mark.parametrize("n, q", [(3, 2), (2, 3), (3, 3), (4, 2)])
@@ -527,13 +527,73 @@ def test_power_theta_to_P_keys_are_shared(n: int, q: int) -> None:
             assert seen.setdefault(mu, mu) is mu
 
 
+@pytest.mark.parametrize("n, q", [(3, 3), (4, 2)])
+def test_blockwise_keys_are_the_enumerated_objects(n: int, q: int) -> None:
+    from ennola.charmap import _power_phi_to_P_items, _power_to_schur_items, _schur_items
+
+    for kind, items_of in (
+        ("theta", _schur_items), ("theta", _power_to_schur_items), ("phi", _power_phi_to_P_items)
+    ):
+        objects = {mp: mp for mp in enumerate_mp(q, kind, n)}
+        for mp in objects:
+            assert all(objects[key] is key for key, _ in items_of(mp))
+
+
 def test_cross_check_routes_stay_on_cyclotomic_arithmetic() -> None:
     # criteria 6-8 compare these against the integer-coordinate routes
     import ennola.charmap as cm
 
-    helpers = {"_mul_into", "_multiply_blocks", "_exponents", "_coords", "_cyclotomics"}
+    helpers = {
+        "_mul_into", "_multiply_blocks", "_exponents", "_coords", "_cyclotomics", "_blockwise"
+    }
     for fn in (cm.star_product, cm._hall_combine_items, cm._dl_torus_sum, cm.ls_sum):
         assert not helpers & set(getattr(fn, "__wrapped__", fn).__code__.co_names)
+
+
+PIN_SIZES = [(2, 1), (2, 2), (2, 3), (3, 2), (3, 3), (4, 2)]
+PINNED_FORMS = "2b722b3a89cd79b506c96f941e6efbbcddc58c4228fdd9efe916e4f48fae4f84"
+PIN_COEFFICIENTS = [
+    Cyclotomic.from_rational(1),
+    Cyclotomic.root(3) * Fraction(1, 2),
+    Cyclotomic.root(5) + Fraction(2, 3),
+    Cyclotomic.root(8) * -3,
+]
+
+
+def _stored_forms(q: int, n: int):
+    """Each result's stored coefficients, (basis, key, conductor, terms, den),
+    in key order, after a line naming the result."""
+    from ennola.charmap import ls_sum
+
+    def forms(name: str, elem: SymElement):
+        yield (name,)
+        for key, v in sorted(elem.coeffs.items(), key=lambda kv: kv[0].sort_key()):
+            yield elem.basis, key.sort_key(), v.conductor, v.terms, v.den
+
+    for src in BASES:
+        keys = enumerate_mp(q, "phi" if src in ("pi", "P") else "theta", n)
+        mixed = {k: PIN_COEFFICIENTS[i % len(PIN_COEFFICIENTS)] for i, k in enumerate(keys)}
+        one = Cyclotomic.from_rational(1)
+        inputs = [(k.sort_key(), SymElement(q, n, src, {k: one})) for k in keys]
+        for name, x in inputs + [("mixed", SymElement(q, n, src, mixed))]:
+            for dst in BASES:
+                yield from forms(f"to_basis {src} {name} {dst}", to_basis(x, dst))
+    for lam in enumerate_mp(q, "theta", n):
+        yield from forms(f"expand_schur {lam.sort_key()}", expand_schur(lam))
+        yield from forms(f"ls_sum {lam.sort_key()}", ls_sum(lam))
+        yield from forms(f"dl_character {lam.sort_key()}", dl_character(lam))
+        yield from forms(f"character_row {lam.sort_key()}", character_row(lam))
+
+
+def test_to_basis_stored_forms_are_pinned() -> None:
+    # values and conductors: equal values at another conductor change the digest
+    import hashlib
+
+    digest = hashlib.sha256()
+    for q, n in PIN_SIZES:
+        for line in _stored_forms(q, n):
+            digest.update(repr(line).encode())
+    assert digest.hexdigest() == PINNED_FORMS
 
 
 # Coefficients at conductors outside conductor(2, n), mixed with rational ones
@@ -562,6 +622,7 @@ def test_to_basis_is_linear(data) -> None:
     src, dst = data.draw(st.sampled_from(BASES)), data.draw(st.sampled_from(BASES))
     a, b = data.draw(elements(src, n)), data.draw(elements(src, n))
     x = data.draw(coefficients())
+    assert to_basis(a, src) is a
     assert to_basis(a + b, dst) == to_basis(a, dst) + to_basis(b, dst)
     assert to_basis(a.scale(x), dst) == to_basis(a, dst).scale(x)
 
