@@ -344,9 +344,10 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     q = args.q
     if args.kind == "model":
         dec = model_decomposition(args.m, q, allow_even_q=args.allow_even_q)
-        total = sum(
-            degree_hook(label.lam) for _, labels in dec.parts for label in labels
-        )
+        degrees = [
+            (r, label, degree_hook(label.lam)) for r, labels in dec.parts for label in labels
+        ]
+        total = sum(degree for _, _, degree in degrees)
         if args.format == "json":
             _emit_json(
                 {
@@ -358,11 +359,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
                 }
             )
         else:
-            rows = [
-                [str(r), mp_text(label.lam), str(degree_hook(label.lam))]
-                for r, labels in dec.parts
-                for label in labels
-            ]
+            rows = [[str(r), mp_text(label.lam), str(degree)] for r, label, degree in degrees]
             if args.format == "csv":
                 _emit_csv(["r", "label", "degree"], rows)
             else:
@@ -376,8 +373,8 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     else:
         elem = sp_induction(args.r, q, allow_even_q=args.allow_even_q)
         meta = {"r": args.r}
-    parts = _constituents(elem)
-    total = sum(mult * degree_hook(label.lam) for label, mult in parts)
+    parts = [(label, mult, degree_hook(label.lam)) for label, mult in _constituents(elem)]
+    total = sum(mult * degree for _, mult, degree in parts)
     if args.format == "json":
         _emit_json(
             {
@@ -393,18 +390,15 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
                         "label": label.to_json(),
                         "text": mp_text(label.lam),
                         "multiplicity": mult,
-                        "degree": degree_hook(label.lam),
+                        "degree": degree,
                     }
-                    for label, mult in parts
+                    for label, mult, degree in parts
                 ],
             }
         )
         return 0
     header = ["label", "multiplicity", "degree"]
-    rows = [
-        [mp_text(label.lam), str(mult), str(degree_hook(label.lam))]
-        for label, mult in parts
-    ]
+    rows = [[mp_text(label.lam), str(mult), str(degree)] for label, mult, degree in parts]
     if args.format == "csv":
         _emit_csv(header, rows)
     else:

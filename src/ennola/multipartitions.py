@@ -133,13 +133,15 @@ class MPStats(NamedTuple):
     odd: int
 
 
+@cache
 def mp_conjugate(nu: MultiPartition) -> MultiPartition:
-    """Blockwise partition conjugation."""
+    """Blockwise partition conjugation, one shared object per argument."""
     return MultiPartition(
         nu.kind, nu.q, tuple((orb, conjugate(lam)) for orb, lam in nu.assignment)
     )
 
 
+@cache
 def mp_stats(nu: MultiPartition) -> MPStats:
     """Size, n statistic, blockwise conjugate, height, and odd-part count.
 

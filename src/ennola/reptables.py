@@ -1,13 +1,22 @@
 """Closed-form degree data and distinguished character decompositions.
 
 Character degrees of the unitary groups obey a hook product formula: the
-degree of the character at a multipartition label is a polynomial in q built
-from the orbit-weighted hook lengths. Summing degrees over all labels, or
-over labels whose conjugate is even, telescopes to short closed forms. Three
-distinguished nonnegative decompositions are computed here as well: the
-Gelfand-Graev character (height-one labels), the symplectic permutation
-character (even-conjugate labels), and the Deligne-Lusztig model tiling all
-labels by the odd-column count of their conjugates.
+degree at a label of size n is q^{n(lambda')} times the product of
+t^i - (-1)^i over i <= n, divided by one such factor per cell at its
+orbit-weighted hook length h, at t = q. Each factor splits as
+t^k - (-1)^k = (-1)^k prod_{d | k} Phi_d(-t), so the quotient is a sign
+times prod_d Phi_d(-t)^{m_d}, where m_d counts the i <= n divisible by d
+minus the hooks divisible by d. The cyclotomic polynomials are distinct
+irreducibles of Q[t], so the quotient is a polynomial exactly when every
+m_d >= 0; that is checked for every label, and degrees are then evaluated
+in integers without any polynomial division.
+
+Summing degrees over all labels, or over labels whose conjugate is even,
+telescopes to short closed forms. Three distinguished nonnegative
+decompositions are computed here as well: the Gelfand-Graev character
+(height-one labels), the symplectic permutation character (even-conjugate
+labels), and the Deligne-Lusztig model tiling all labels by the odd-column
+count of their conjugates.
 """
 
 from __future__ import annotations
@@ -18,33 +27,11 @@ from fractions import Fraction
 from functools import cache
 
 from .charmap import CharLabel, SymElement, circ_product, to_basis
-from .exactnum import Cyclotomic, QPoly
+from .exactnum import Cyclotomic, QPoly, cyclotomic_polynomial
 from .multipartitions import MultiPartition, enumerate_mp, mp_conjugate, mp_size, mp_stats
 from .orbits import enumerate_orbits
 from .partitions import Partition, conjugate, hooks, n_stat, partitions_of, z_stat
 from .symfunc import SymFn1, delta_spec, lr_coefficient, psi_poly
-
-
-def _divide_exact(num: QPoly, den: QPoly) -> QPoly:
-    """Quotient of two Laurent polynomials when the division is exact."""
-    if not den:
-        raise ZeroDivisionError("division by the zero polynomial")
-    rem = dict(num.coeffs)
-    lead_exp, lead_coeff = den.coeffs[-1]
-    out: dict[int, Fraction] = {}
-    while rem:
-        e = max(rem)
-        factor = rem[e] / lead_coeff
-        shift = e - lead_exp
-        out[shift] = factor
-        for de, dc in den.coeffs:
-            key = de + shift
-            val = rem.get(key, Fraction(0)) - factor * dc
-            if val:
-                rem[key] = val
-            else:
-                rem.pop(key, None)
-    return QPoly(out)
 
 
 def weighted_hooks(lam: MultiPartition) -> list[int]:
@@ -67,29 +54,81 @@ def hook_sum_identity(lam: MultiPartition) -> bool:
     return sum(weighted_hooks(lam)) == expect
 
 
+def cyclotomic_factors(n: int, hooks: tuple[int, ...]) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """Sign and Phi_d(-t) multiplicities of the hook quotient.
+
+    The quotient of prod_{i <= n} (t^i - (-1)^i) by prod_h (t^h - (-1)^h)
+    is sign * prod_d Phi_d(-t)^{m_d}, with m_d the number of i <= n that d
+    divides minus the number of hooks that d divides. Returns the sign and
+    the positive (d, m_d) in increasing d. Raises AssertionError if some
+    m_d < 0 (the quotient is then not a polynomial) or if the leading
+    coefficient is not positive.
+
+    >>> cyclotomic_factors(3, (3, 2, 1))
+    (1, ())
+    >>> cyclotomic_factors(2, (1, 1))
+    (-1, ((2, 1),))
+    """
+    mult = {d: n // d for d in range(1, n + 1)}
+    for h in hooks:
+        for d in range(1, h + 1):
+            if h % d == 0:
+                mult[d] = mult.get(d, 0) - 1
+    short = [d for d, m in mult.items() if m < 0]
+    if short:
+        raise AssertionError(f"hook quotient is not a polynomial: Phi_{min(short)} is left over")
+    sign = (-1) ** (n * (n + 1) // 2 + sum(hooks))
+    # Phi_1(-t) and Phi_2(-t) lead with -1; every other Phi_d has even degree
+    if sign * (-1) ** (mult.get(1, 0) + mult.get(2, 0)) < 0:
+        raise AssertionError("hook quotient has a negative leading coefficient")
+    return sign, tuple((d, m) for d, m in sorted(mult.items()) if m)
+
+
+@cache
+def hook_factors(lam: MultiPartition) -> tuple[int, int, tuple[tuple[int, int], ...]]:
+    """The degree polynomial of a label as (sign, a, ((d, m_d), ...)).
+
+    The polynomial is sign * t^a * prod_d Phi_d(-t)^{m_d}, with a the n
+    statistic of the conjugate; see ``cyclotomic_factors``.
+    """
+    sign, factors = cyclotomic_factors(mp_size(lam), tuple(weighted_hooks(lam)))
+    return sign, mp_stats(mp_conjugate(lam)).n, factors
+
+
+@cache
+def _cyclotomic_at(d: int, x: int) -> int:
+    """The integer Phi_d(x)."""
+    return sum(c * x**k for k, c in enumerate(cyclotomic_polynomial(d)))
+
+
 @cache
 def degree_polynomial(lam: MultiPartition) -> QPoly:
     """Character degree as a polynomial in q: the hook product formula.
 
-    q^{n of the conjugate} times the group-order q-part-free factors,
-    divided by one factor per cell at its weighted hook length. The quotient
-    is a monic-leading-sign integer polynomial.
+    Multiplied out from ``hook_factors`` in integer coefficients: the sign,
+    then each Phi_d(-t) m_d times, shifted by t^a. Every label's m_d >= 0 is
+    checked there, which is exactly the condition that the hook quotient is
+    a polynomial.
     """
-    n = mp_size(lam)
-    num = QPoly({mp_stats(mp_conjugate(lam)).n: 1})
-    for i in range(1, n + 1):
-        num = num * QPoly({i: 1, 0: -((-1) ** i)})
-    den = QPoly({0: 1})
-    for h in weighted_hooks(lam):
-        den = den * QPoly({h: 1, 0: -((-1) ** h)})
-    out = _divide_exact(num, den)
-    if not (out.is_integral() and out.coeffs[-1][1] > 0 and out.min_exp() >= 0):
-        raise AssertionError(f"hook quotient is not a degree polynomial: {out}")
-    return out
+    sign, a, factors = hook_factors(lam)
+    coeffs = [sign]
+    for d, m in factors:
+        phi = [c * (-1) ** k for k, c in enumerate(cyclotomic_polynomial(d))]
+        for _ in range(m):
+            out = [0] * (len(coeffs) + len(phi) - 1)
+            for i, c in enumerate(coeffs):
+                for j, b in enumerate(phi):
+                    out[i + j] += c * b
+            coeffs = out
+    return QPoly({a + k: c for k, c in enumerate(coeffs) if c})
 
 
 def degree_hook(lam: CharLabel | MultiPartition) -> int:
     """Integer character degree by the hook product formula.
+
+    Evaluates sign * q^a * prod_d Phi_d(-q)^{m_d} from ``hook_factors`` in
+    integers, so every m_d >= 0 is checked, and rejects a value that is
+    not positive.
 
     >>> from ennola.orbits import OrbitId
     >>> triv = OrbitId("theta", 2, 1, 0)
@@ -97,10 +136,11 @@ def degree_hook(lam: CharLabel | MultiPartition) -> int:
     2
     """
     lam = lam.lam if isinstance(lam, CharLabel) else lam
-    value = degree_polynomial(lam).eval(lam.q)
-    if value.denominator != 1 or value <= 0:
+    sign, a, factors = hook_factors(lam)
+    value = sign * lam.q**a * math.prod(_cyclotomic_at(d, -lam.q) ** m for d, m in factors)
+    if value <= 0:
         raise AssertionError(f"hook degree came out as {value}")
-    return int(value)
+    return value
 
 
 @dataclass(frozen=True)

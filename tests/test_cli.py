@@ -196,6 +196,41 @@ def test_degrees_json_and_csv(capsys):
 # -------------------------------------------------------------- decompose
 
 
+@pytest.mark.parametrize(
+    "argv, size, digest",
+    [
+        (
+            ("decompose", "model", "--m", "4", "--q", "3"),
+            81443,
+            "eb9b4caef781621541d9981e3f3c995c66737f80010d882db2e3d55a7ae284ca",
+        ),
+        (
+            ("degrees", "--m", "4", "--q", "3", "--format", "csv"),
+            8827,
+            "ec97617053cb10063802278264b76b88db02c624bde2c351f9a8cf80c9c3af30",
+        ),
+        (
+            ("decompose", "model", "--m", "6", "--q", "3", "--format", "csv"),
+            63208,
+            "ab96731647c20e2ef2c4bdef666b5e549b0e5a8093db0954e2b74eaaba7448d2",
+        ),
+        (
+            ("decompose", "gelfand-graev", "--m", "4", "--q", "3"),
+            52202,
+            "9d4b6b9e3d660517e0936b7f282f86598e83bc974248f29aa851132849e3884f",
+        ),
+    ],
+)
+def test_degree_stdout_is_pinned(capsys, argv, size, digest):
+    # every row carries a hook degree; the digests were recorded with the
+    # degrees computed by polynomial long division
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    data = out.encode()
+    assert len(data) == size
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
 def test_decompose_gelfand_graev(capsys):
     code, out, _ = run(capsys, "decompose", "gelfand-graev", "--m", "2", "--q", "2")
     assert code == 0

@@ -23,6 +23,7 @@ from ennola.orbits import OrbitId
 from ennola.reptables import (
     DegreeRecord,
     charprod_parity,
+    cyclotomic_factors,
     degree_hook,
     degree_polynomial,
     degree_records,
@@ -82,6 +83,50 @@ def test_degree_polynomial_steinberg() -> None:
 def test_degree_hook_matches_identity_column(q: int, n: int) -> None:
     for lam in enumerate_mp(q, "theta", n):
         assert degree_hook(lam) == identity_column_entry(lam)
+
+
+def _sympy_hook_quotient(lam: MultiPartition, t):
+    """Exact quotient and remainder of the hook numerator by the hook
+    denominator, with hooks and n of the conjugate read off the blocks."""
+    sympy = pytest.importorskip("sympy")
+    n = sum(orb.size * sum(block) for orb, block in lam.assignment)
+    a = sum(orb.size * v * (v - 1) // 2 for orb, block in lam.assignment for v in block)
+    num = t**a * sympy.prod([t**i - (-1) ** i for i in range(1, n + 1)])
+    den = sympy.Integer(1)
+    for orb, block in lam.assignment:
+        cols = [sum(1 for v in block if v > j) for j in range(block[0])]
+        for i, row in enumerate(block):
+            for j in range(row):
+                h = orb.size * (row - j + cols[j] - i - 1)
+                den *= t**h - (-1) ** h
+    return sympy.div(sympy.Poly(num, t), sympy.Poly(den, t))
+
+
+@pytest.mark.parametrize("q,n", [(2, 4), (3, 3), (4, 3), (3, 4), (4, 2)])
+def test_degree_polynomial_is_the_sympy_hook_quotient(q: int, n: int) -> None:
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    for lam in enumerate_mp(q, "theta", n):
+        quo, rem = _sympy_hook_quotient(lam, t)
+        assert rem.is_zero
+        expect = {e: c for (e,), c in quo.terms()}
+        assert degree_polynomial(lam) == QPoly({e: int(c) for e, c in expect.items()})
+
+
+@pytest.mark.parametrize("q,n", [(2, 4), (3, 3), (4, 3), (3, 4), (4, 2)])
+def test_degree_hook_is_the_polynomial_at_q(q: int, n: int) -> None:
+    for lam in enumerate_mp(q, "theta", n):
+        assert degree_hook(lam) == degree_polynomial(lam).eval(q)
+
+
+def test_cyclotomic_factors_reject_a_quotient_that_is_not_a_polynomial() -> None:
+    # (t^3 + 1) does not divide (t + 1)(t^2 - 1): Phi_3 and Phi_6 are left over
+    with pytest.raises(AssertionError):
+        cyclotomic_factors(2, (3,))
+    # (t^2 - 1) does not divide t + 1
+    with pytest.raises(AssertionError):
+        cyclotomic_factors(1, (2,))
+    assert cyclotomic_factors(2, (2, 1)) == (1, ())
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
