@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import cache
 
 from .charmap import CharLabel, char_table
-from .exactnum import Cyclotomic
+from .exactnum import Cyclotomic, _prime_divisors
 from .multipartitions import (
     MultiPartition,
     centralizer_order,
@@ -88,57 +88,6 @@ def _pmod(a: IntPoly, m: IntPoly, p: int) -> IntPoly:
     return _ptrim(out[: len(m) - 1])
 
 
-def _pgcd(a: IntPoly, b: IntPoly, p: int) -> IntPoly:
-    while b:
-        a, b = b, _pmod(a, b, p)
-    if a:
-        linv = pow(a[-1], -1, p)
-        a = tuple(c * linv % p for c in a)
-    return a
-
-
-def _frob_power(k: int, m: IntPoly, p: int) -> IntPoly:
-    """t^(p^k) reduced mod m, by k successive p-th powers."""
-    r: IntPoly = (0, 1)
-    for _ in range(k):
-        s: IntPoly = (1,)
-        base = r
-        exp = p
-        while exp:
-            if exp & 1:
-                s = _pmod(_pmul(s, base, p), m, p)
-            base = _pmod(_pmul(base, base, p), m, p)
-            exp >>= 1
-        r = s
-    return r
-
-
-def _is_irreducible(m: IntPoly, p: int) -> bool:
-    e = len(m) - 1
-    if _frob_power(e, m, p) != (0, 1):
-        return False
-    for ell in {f for f in _prime_factors(e)}:
-        probe = _frob_power(e // ell, m, p)
-        diff = _ptrim([(x - y) % p for x, y in itertools.zip_longest(probe, (0, 1), fillvalue=0)])
-        if len(_pgcd(diff, m, p)) > 1:
-            return False
-    return True
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def _poly_pow_mod(base: IntPoly, exp: int, m: IntPoly, p: int) -> IntPoly:
     out: IntPoly = (1,)
     while exp:
@@ -150,8 +99,15 @@ def _poly_pow_mod(base: IntPoly, exp: int, m: IntPoly, p: int) -> IntPoly:
 
 
 def _is_primitive(m: IntPoly, p: int) -> bool:
+    """Whether t has multiplicative order exactly N = p^e - 1 modulo m, e = deg m.
+
+    Then t^0, ..., t^(N-1) are N distinct units of F_p[t]/(m), so every nonzero
+    residue is a unit and m is irreducible as well.
+    """
     order = p ** (len(m) - 1) - 1
-    for ell in _prime_factors(order):
+    if _poly_pow_mod((0, 1), order, m, p) != (1,):
+        return False
+    for ell in _prime_divisors(order):
         if _poly_pow_mod((0, 1), order // ell, m, p) == (1,):
             return False
     return True
@@ -252,7 +208,7 @@ def field(p: int, e: int) -> GF:
     """The field of p^e elements on its lexicographically least modulus.
 
     Monic candidates t^e + c are scanned in increasing order of the integer
-    encoding of c, keeping the first primitive irreducible.
+    encoding of c, keeping the first primitive one (which is irreducible).
 
     >>> field(2, 2).modulus
     (1, 1, 1)
@@ -261,11 +217,6 @@ def field(p: int, e: int) -> GF:
         raise ValueError("extension degree must be positive")
     if p < 2 or any(p % d == 0 for d in range(2, p)):
         raise ValueError(f"{p} is not prime")
-    if e == 1:
-        for c in range(p):
-            m = _ptrim([c, 1])
-            if _is_primitive(m, p):
-                return GF(p, 1, m)
     for low in range(p**e):
         coeffs = []
         v = low
@@ -275,7 +226,7 @@ def field(p: int, e: int) -> GF:
         m = tuple(coeffs) + (1,)
         if m[0] == 0:
             continue
-        if _is_irreducible(m, p) and _is_primitive(m, p):
+        if _is_primitive(m, p):
             return GF(p, e, m)
     raise AssertionError("no primitive modulus found")
 

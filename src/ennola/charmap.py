@@ -567,9 +567,6 @@ class CharTable:
     values: tuple[tuple[Cyclotomic, ...], ...]
     class_sizes: tuple[int, ...]
 
-    def entry(self, label: CharLabel, mu: MultiPartition) -> Cyclotomic:
-        return self.values[self.rows.index(label)][self.cols.index(mu)]
-
     def rendered(self, render) -> list[list]:
         """The grid of values passed through ``render``, called once per
         distinct entry object (``char_table`` shares equal entries)."""

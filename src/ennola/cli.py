@@ -5,21 +5,23 @@ timing diagnostics go to stderr, so repeated runs with the same arguments
 produce byte-identical stdout. Formats: ``json`` (the default; every document
 carries ``"schema": 1``), ``csv`` (flat rows, exact values as text), and
 ``pretty`` (aligned text; the only renderer that prints floating point, with
-values rounded at 1e-10 for display). Exit status: 0 on success, 1 when a
-verify check fails, 2 on an invalid configuration (the error is reported as a
-JSON object on stderr).
+values rounded at 1e-10 for display). ``_emit`` is the one place a format is
+chosen: each data subcommand states its json document, its rows and the text
+around its pretty table once and hands them to it. Exit status: 0 on success,
+1 when a verify check fails, 2 on an invalid configuration (the error is
+reported as a JSON object on stderr).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import itertools
 import json
 import math
 import sys
 import time
+from collections.abc import Callable
 from fractions import Fraction
 
 from .bruteforce import (
@@ -32,7 +34,6 @@ from .bruteforce import (
 )
 from .charmap import (
     CharLabel,
-    CharTable,
     char_table,
     circ_product,
     conductor,
@@ -158,26 +159,36 @@ def _emit_json(doc: dict) -> None:
 
 
 def _emit_csv(header: list[str], rows: list[list[str]]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    sys.stdout.write(buf.getvalue())
 
 
-def _emit_table(header: list[str], rows: list[list[str]]) -> None:
-    widths = [
-        max(len(header[i]), *(len(r[i]) for r in rows)) if rows else len(header[i])
-        for i in range(len(header))
-    ]
+def _table_text(header: list[str], rows: list[list[str]]) -> str:
+    widths = [max(len(r[i]) for r in [header, *rows]) for i in range(len(header))]
 
     def line(cells: list[str]) -> str:
-        return "  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip()
+        return "  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip() + "\n"
 
-    sys.stdout.write(line(header) + "\n")
-    sys.stdout.write(line(["-" * w for w in widths]) + "\n")
-    for r in rows:
-        sys.stdout.write(line(r) + "\n")
+    return "".join(map(line, [header, ["-" * w for w in widths], *rows]))
+
+
+def _emit(args, doc: Callable, header: list[str], rows: Callable, before="", after="") -> int:
+    """Write one subcommand's document in ``args.format``.
+
+    The only place the three formats are chosen. ``doc()`` is the json body,
+    written after ``schema`` and ``command``; ``header`` and ``rows()`` are the
+    csv rows and the pretty table, which ``before`` and ``after`` frame. Both
+    callables run only for the format that needs them, so csv never builds the
+    json document.
+    """
+    if args.format == "json":
+        _emit_json({"schema": SCHEMA, "command": args.command, **doc()})
+    elif args.format == "csv":
+        _emit_csv(header, rows())
+    else:
+        sys.stdout.write(before + _table_text(header, rows()) + after)
+    return 0
 
 
 # ----------------------------------------------------------- data commands
@@ -191,32 +202,22 @@ def _cmd_orbits(args: argparse.Namespace) -> int:
         {"m": m, "orbits": orbit_count(q, m), "level_order": level_order(q, m)}
         for m in range(1, n + 1)
     ]
-    if args.format == "json":
-        _emit_json(
-            {
-                "schema": SCHEMA,
-                "command": "orbits",
-                "q": q,
-                "max_size": n,
-                "theta": [o.to_json() for o in theta],
-                "phi": [o.to_json() for o in phi],
-                "counts": counts,
-            }
-        )
-    elif args.format == "csv":
-        rows = [[o.kind, str(o.size), str(o.residue)] for o in theta + phi]
-        _emit_csv(["kind", "size", "residue"], rows)
-    else:
-        _emit_table(
-            ["kind", "size", "residue"],
-            [[o.kind, str(o.size), str(o.residue)] for o in theta + phi],
-        )
-        sys.stdout.write("\n")
-        _emit_table(
+    return _emit(
+        args,
+        lambda: {
+            "q": q,
+            "max_size": n,
+            "theta": [o.to_json() for o in theta],
+            "phi": [o.to_json() for o in phi],
+            "counts": counts,
+        },
+        ["kind", "size", "residue"],
+        lambda: [[o.kind, str(o.size), str(o.residue)] for o in theta + phi],
+        after="\n" + _table_text(
             ["m", "orbits of size m", "q^m - (-1)^m"],
             [[str(c["m"]), str(c["orbits"]), str(c["level_order"])] for c in counts],
-        )
-    return 0
+        ),
+    )
 
 
 def _cmd_classes(args: argparse.Namespace) -> int:
@@ -231,102 +232,70 @@ def _cmd_classes(args: argparse.Namespace) -> int:
         }
         for mu in enumerate_mp(q, "phi", n)
     ]
-    if args.format == "json":
-        _emit_json(
-            {
-                "schema": SCHEMA,
-                "command": "classes",
-                "n": n,
-                "q": q,
-                "order": order,
-                "count": len(items),
-                "classes": items,
-            }
-        )
-    else:
-        rows = [[it["label"], str(it["centralizer"]), str(it["size"])] for it in items]
-        header = ["label", "centralizer", "size"]
-        if args.format == "csv":
-            _emit_csv(header, rows)
-        else:
-            sys.stdout.write(f"U_{n}(F_{q*q}), order {order}, {len(items)} classes\n\n")
-            _emit_table(header, rows)
-    return 0
+    return _emit(
+        args,
+        lambda: {"n": n, "q": q, "order": order, "count": len(items), "classes": items},
+        ["label", "centralizer", "size"],
+        lambda: [[it["label"], str(it["centralizer"]), str(it["size"])] for it in items],
+        before=f"U_{n}(F_{q*q}), order {order}, {len(items)} classes\n\n",
+    )
 
 
 def _cmd_chartable(args: argparse.Namespace) -> int:
-    table = char_table(args.n, args.q)
-    if args.format == "json":
-        _emit_json({"schema": SCHEMA, "command": "chartable", **table.to_json()})
-        return 0
-    header = [""] + [mp_text(mu) for mu in table.cols]
-    if args.format == "csv":
-        rows = [
+    n, q = args.n, args.q
+    table = char_table(n, q)
+    # csv writes exact text; pretty is the only renderer of floats
+    render = cyc_text if args.format == "csv" else lambda v: float_text(v.approx())
+    return _emit(
+        args,
+        table.to_json,
+        [""] + [mp_text(mu) for mu in table.cols],
+        lambda: [
             [mp_text(label.lam)] + row
-            for label, row in zip(table.rows, table.rendered(cyc_text))
-        ]
-        _emit_csv(header, rows)
-    else:
-        rows = [
-            [mp_text(label.lam)] + row
-            for label, row in zip(table.rows, table.rendered(lambda v: float_text(v.approx())))
-        ]
-        order = unitary_group_order(args.q, args.n)
-        sys.stdout.write(
-            f"character table of U_{args.n}(F_{args.q**2}), order {order}\n"
-        )
-        sys.stdout.write(
-            "class sizes: " + " ".join(str(s) for s in table.class_sizes) + "\n\n"
-        )
-        _emit_table(header, rows)
-    return 0
+            for label, row in zip(table.rows, table.rendered(render))
+        ],
+        before=f"character table of U_{n}(F_{q**2}), order {unitary_group_order(q, n)}\n"
+        "class sizes: " + " ".join(str(s) for s in table.class_sizes) + "\n\n",
+    )
 
 
 def _cmd_degrees(args: argparse.Namespace) -> int:
     m, q = args.m, args.q
     records = degree_records(m, q)
     total = degree_sum(m, q)
-    if args.format == "json":
-        _emit_json(
-            {
-                "schema": SCHEMA,
-                "command": "degrees",
-                "m": m,
-                "q": q,
-                "degree_sum": total,
-                "records": [
-                    {
-                        "label": r.label.to_json(),
-                        "text": mp_text(r.label.lam),
-                        "degree": r.degree,
-                        "tau_parity": r.tau_parity,
-                        "height": r.height,
-                        "odd_conjugate": r.odd_conjugate,
-                        "polynomial": qpoly_text(r.polynomial),
-                    }
-                    for r in records
-                ],
-            }
-        )
-        return 0
-    header = ["label", "degree", "tau_parity", "height", "odd_conjugate", "polynomial"]
-    rows = [
-        [
-            mp_text(r.label.lam),
-            str(r.degree),
-            str(r.tau_parity),
-            str(r.height),
-            str(r.odd_conjugate),
-            qpoly_text(r.polynomial),
-        ]
-        for r in records
-    ]
-    if args.format == "csv":
-        _emit_csv(header, rows)
-    else:
-        _emit_table(header, rows)
-        sys.stdout.write(f"\ndegree sum: {total}\n")
-    return 0
+    return _emit(
+        args,
+        lambda: {
+            "m": m,
+            "q": q,
+            "degree_sum": total,
+            "records": [
+                {
+                    "label": r.label.to_json(),
+                    "text": mp_text(r.label.lam),
+                    "degree": r.degree,
+                    "tau_parity": r.tau_parity,
+                    "height": r.height,
+                    "odd_conjugate": r.odd_conjugate,
+                    "polynomial": qpoly_text(r.polynomial),
+                }
+                for r in records
+            ],
+        },
+        ["label", "degree", "tau_parity", "height", "odd_conjugate", "polynomial"],
+        lambda: [
+            [
+                mp_text(r.label.lam),
+                str(r.degree),
+                str(r.tau_parity),
+                str(r.height),
+                str(r.odd_conjugate),
+                qpoly_text(r.polynomial),
+            ]
+            for r in records
+        ],
+        after=f"\ndegree sum: {total}\n",
+    )
 
 
 def _constituents(elem) -> list[tuple[CharLabel, int]]:
@@ -348,24 +317,13 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
             (r, label, degree_hook(label.lam)) for r, labels in dec.parts for label in labels
         ]
         total = sum(degree for _, _, degree in degrees)
-        if args.format == "json":
-            _emit_json(
-                {
-                    "schema": SCHEMA,
-                    "command": "decompose",
-                    "kind": "model",
-                    **dec.to_json(),
-                    "degree_sum": total,
-                }
-            )
-        else:
-            rows = [[str(r), mp_text(label.lam), str(degree)] for r, label, degree in degrees]
-            if args.format == "csv":
-                _emit_csv(["r", "label", "degree"], rows)
-            else:
-                _emit_table(["r", "label", "degree"], rows)
-                sys.stdout.write(f"\ndegree sum: {total}\n")
-        return 0
+        return _emit(
+            args,
+            lambda: {"kind": "model", **dec.to_json(), "degree_sum": total},
+            ["r", "label", "degree"],
+            lambda: [[str(r), mp_text(label.lam), str(degree)] for r, label, degree in degrees],
+            after=f"\ndegree sum: {total}\n",
+        )
 
     if args.kind == "gelfand-graev":
         elem = gelfand_graev(args.m, q)
@@ -375,36 +333,28 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         meta = {"r": args.r}
     parts = [(label, mult, degree_hook(label.lam)) for label, mult in _constituents(elem)]
     total = sum(mult * degree for _, mult, degree in parts)
-    if args.format == "json":
-        _emit_json(
-            {
-                "schema": SCHEMA,
-                "command": "decompose",
-                "kind": args.kind,
-                **meta,
-                "q": q,
-                "count": len(parts),
-                "value_at_identity": total,
-                "constituents": [
-                    {
-                        "label": label.to_json(),
-                        "text": mp_text(label.lam),
-                        "multiplicity": mult,
-                        "degree": degree,
-                    }
-                    for label, mult, degree in parts
-                ],
-            }
-        )
-        return 0
-    header = ["label", "multiplicity", "degree"]
-    rows = [[mp_text(label.lam), str(mult), str(degree)] for label, mult, degree in parts]
-    if args.format == "csv":
-        _emit_csv(header, rows)
-    else:
-        _emit_table(header, rows)
-        sys.stdout.write(f"\nvalue at the identity: {total}\n")
-    return 0
+    return _emit(
+        args,
+        lambda: {
+            "kind": args.kind,
+            **meta,
+            "q": q,
+            "count": len(parts),
+            "value_at_identity": total,
+            "constituents": [
+                {
+                    "label": label.to_json(),
+                    "text": mp_text(label.lam),
+                    "multiplicity": mult,
+                    "degree": degree,
+                }
+                for label, mult, degree in parts
+            ],
+        },
+        ["label", "multiplicity", "degree"],
+        lambda: [[mp_text(label.lam), str(mult), str(degree)] for label, mult, degree in parts],
+        after=f"\nvalue at the identity: {total}\n",
+    )
 
 
 def _cmd_bruteforce(args: argparse.Namespace) -> int:
@@ -422,43 +372,28 @@ def _cmd_bruteforce(args: argparse.Namespace) -> int:
         allow_large=args.allow_large,
         max_order=args.max_group_order,
     )
-    if args.format == "json":
-        _emit_json(
-            {
-                "schema": SCHEMA,
-                "command": "bruteforce",
-                "n": n,
-                "q": q,
-                "order": unitary_group_order(q, n),
-                "classes": [
-                    {"mu": mu.to_json(), "label": mp_text(mu), "size": size}
-                    for mu, size in census.items()
-                ],
-                "symmetric_count": count,
-                "fs_indicators": {
-                    mp_text(label.lam): v for label, v in indicators.items()
-                },
-            }
-        )
-        return 0
-    rows = [[mp_text(mu), str(size)] for mu, size in census.items()]
-    if args.format == "csv":
-        _emit_csv(["label", "size"], rows)
-    else:
-        order = unitary_group_order(q, n)
-        sys.stdout.write(f"U_{n}(F_{q*q}) by matrix enumeration, order {order}\n\n")
-        _emit_table(["label", "size"], rows)
-        sys.stdout.write(f"\nsymmetric elements: {count}\n")
-        sys.stdout.write(
-            "twisted indicators: "
-            + (
-                "all 1"
-                if all(v == 1 for v in indicators.values())
-                else " ".join(str(v) for v in indicators.values())
-            )
-            + "\n"
-        )
-    return 0
+    order = unitary_group_order(q, n)
+    fs = list(indicators.values())
+    return _emit(
+        args,
+        lambda: {
+            "n": n,
+            "q": q,
+            "order": order,
+            "classes": [
+                {"mu": mu.to_json(), "label": mp_text(mu), "size": size}
+                for mu, size in census.items()
+            ],
+            "symmetric_count": count,
+            "fs_indicators": {mp_text(label.lam): v for label, v in indicators.items()},
+        },
+        ["label", "size"],
+        lambda: [[mp_text(mu), str(size)] for mu, size in census.items()],
+        before=f"U_{n}(F_{q*q}) by matrix enumeration, order {order}\n\n",
+        after=f"\nsymmetric elements: {count}\ntwisted indicators: "
+        + ("all 1" if all(v == 1 for v in fs) else " ".join(str(v) for v in fs))
+        + "\n",
+    )
 
 
 # --------------------------------------------------------------- verification

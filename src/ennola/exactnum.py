@@ -12,10 +12,7 @@ import functools
 import math
 from fractions import Fraction
 
-Rational = Fraction
-
 __all__ = [
-    "Rational",
     "QPoly",
     "Cyclotomic",
     "cyclotomic_polynomial",

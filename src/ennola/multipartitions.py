@@ -186,7 +186,8 @@ def _enumerate_mp(q: int, kind: str, n: int) -> tuple[MultiPartition, ...]:
             key = tuple((orb.size, orb.residue, p) for orb, lam in blocks for p in reversed(lam))
             found.append(mp_of_blocks(kind, q, key))
             return
-        if index == len(orbs):
+        # orbits are sorted by size, so once one is too big no later one fits
+        if index == len(orbs) or orbs[index].size > remaining:
             return
         orb = orbs[index]
         assign(index + 1, remaining, blocks)

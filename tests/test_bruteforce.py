@@ -39,6 +39,30 @@ def test_field_moduli() -> None:
     assert field(2, 4).modulus == (1, 1, 0, 0, 1)
 
 
+@pytest.mark.parametrize(
+    "p,e,modulus",
+    [
+        # the tower field K of the (n, q) = (3, 2) census
+        (2, 12, (1, 1, 0, 0, 1, 0, 1, 0, 0, 0, 0, 0, 1)),
+        (3, 4, (2, 1, 0, 0, 1)),
+        (5, 2, (2, 1, 1)),
+    ],
+)
+def test_field_modulus_is_pinned(p: int, e: int, modulus: tuple[int, ...]) -> None:
+    assert field(p, e).modulus == modulus
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_prime_field_is_the_integers_mod_p(p: int) -> None:
+    # the modulus t - c is primitive only when c is a primitive root mod p,
+    # and then the packed element a is the residue a itself
+    F = field(p, 1)
+    for a in range(p):
+        for b in range(p):
+            assert F.add(a, b) == (a + b) % p
+            assert F.mul(a, b) == a * b % p
+
+
 @pytest.mark.parametrize("p,e", [(2, 2), (2, 4), (3, 2), (3, 4), (5, 2)])
 def test_field_arithmetic(p: int, e: int) -> None:
     F = field(p, e)

@@ -193,6 +193,128 @@ def test_degrees_json_and_csv(capsys):
     assert len(rows) == 10
 
 
+# ------------------------------------------------------------ every format
+
+
+@pytest.mark.parametrize(
+    "argv, size, digest",
+    [
+        (
+            ("orbits", "--n", "4", "--q", "2"),
+            1755,
+            "3b7553c79fc56b76fcc62ea9dad55d00e5639dc2c5d6cace0a7741926f5ed977",
+        ),
+        (
+            ("orbits", "--n", "4", "--q", "2", "--format", "csv"),
+            162,
+            "49451341d10a0ffff3807aa71dc2e6f13085877a6522033a9f155a5ec7e90cb0",
+        ),
+        (
+            ("orbits", "--n", "4", "--q", "2", "--format", "pretty"),
+            444,
+            "e6f16fc9d334b0d397477b7d41fca5fc4d4023a810a1cae1d6b25b2b5b3a4014",
+        ),
+        (
+            ("classes", "--n", "3", "--q", "2"),
+            9748,
+            "494b53d966c5c087f8cc48d3430d1132f05b297f5f4a8ea2f509069e595f4a13",
+        ),
+        (
+            ("classes", "--n", "3", "--q", "2", "--format", "csv"),
+            544,
+            "f166d2ebdf85377a87b4f6f0a81cfad34495c37fc75afa334402d687f0985b09",
+        ),
+        (
+            ("classes", "--n", "3", "--q", "2", "--format", "pretty"),
+            1097,
+            "a6c95bcab44a040e5db7249d0e84df05c03248743aa4b84ac5b15d25ea506210",
+        ),
+        (
+            ("degrees", "--m", "3", "--q", "3"),
+            28351,
+            "2011be5e893a524f426833272180c8a678a7fee57962282e00121c1da5bd7b32",
+        ),
+        (
+            ("degrees", "--m", "3", "--q", "3", "--format", "pretty"),
+            4461,
+            "227a0feb47a7ade7f40ed58d384da7d8a69beb10f1784690b51a42f4d8a391e8",
+        ),
+        (
+            ("decompose", "model", "--m", "4", "--q", "3", "--format", "pretty"),
+            7594,
+            "269b27837a2ff54bf04938d5044bbde9a22aa9a97fa9c01593670883db054386",
+        ),
+        (
+            ("decompose", "gelfand-graev", "--m", "3", "--q", "3", "--format", "csv"),
+            792,
+            "7f0823d3ee35ba7896e59075d1e85fd6d472951d7db328f36357b60e2833421c",
+        ),
+        (
+            ("decompose", "gelfand-graev", "--m", "3", "--q", "3", "--format", "pretty"),
+            1632,
+            "eb1fcefe8ed46907d33802818268ab7d0f7c86615e6cff84fee5c07ab8264fa5",
+        ),
+        (
+            ("decompose", "sp-induction", "--r", "2", "--q", "3"),
+            6408,
+            "1370e7f3c8e4f7e04b82b4c9e0f6abee509c50c85bb5953c9bf5fff8614783be",
+        ),
+        (
+            ("decompose", "sp-induction", "--r", "2", "--q", "3", "--format", "csv"),
+            372,
+            "fca64f0ac42deda1bcc2823c3ad4edaa54d49acf40ad4804545982ff9d240b86",
+        ),
+        (
+            ("decompose", "sp-induction", "--r", "2", "--q", "3", "--format", "pretty"),
+            719,
+            "0f072b1b302db8112f44baf4e7e5bb2f716ff0f1be362a3b162fa8322dbba82f",
+        ),
+        (
+            ("bruteforce", "--n", "2", "--q", "3"),
+            5781,
+            "183c25d0ce067817d478895f45baed2e436529a89f7dc098a288abb49eb7c9f0",
+        ),
+        (
+            ("bruteforce", "--n", "2", "--q", "3", "--format", "csv"),
+            261,
+            "54c8388132e541fdb404dd3906bdf78587170ac0bfbefd41386bd23d8e6001aa",
+        ),
+        (
+            ("bruteforce", "--n", "2", "--q", "3", "--format", "pretty"),
+            442,
+            "14d213ecc8d9afc344794eda9de39c4fe320b6a029607bcf46de10261d2e2a47",
+        ),
+        (
+            ("chartable", "--n", "2", "--q", "2", "--format", "pretty"),
+            1876,
+            "ba19cb27ad5a2e203d3aaedf94100e43e7d1d77d63c69aafff1f87199e8c64f4",
+        ),
+    ],
+)
+def test_format_stdout_is_pinned(capsys, argv, size, digest):
+    # one document per (command, format), recorded before the formats were
+    # chosen in a single writer
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    data = out.encode()
+    assert len(data) == size
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+@pytest.mark.parametrize("fmt", ["csv", "pretty"])
+def test_text_formats_never_build_the_json_document(capsys, monkeypatch, fmt):
+    from ennola.charmap import CharTable
+
+    def refuse(self):
+        raise AssertionError("json document built for a text format")
+
+    monkeypatch.setattr(CharTable, "to_json", refuse)
+    code, out, _ = run(capsys, "chartable", "--n", "2", "--q", "2", "--format", fmt)
+    assert code == 0 and out
+    with pytest.raises(AssertionError):
+        run(capsys, "chartable", "--n", "2", "--q", "2")
+
+
 # -------------------------------------------------------------- decompose
 
 
