@@ -41,7 +41,7 @@ from .multipartitions import (
     mp_stats,
     torus_data,
 )
-from .orbits import CyclicElt, OrbitId, char_eval, enumerate_orbits, level_order, transform_p
+from .orbits import CyclicElt, OrbitId, _transform_counts, char_eval, enumerate_orbits, level_order
 from .partitions import Partition, partitions_of, z_stat
 from .symfunc import green_poly, hall_polynomial, sn_char
 
@@ -218,39 +218,98 @@ def _cyclotomics(acc: dict, big: int, den: int) -> dict:
     return {key: Cyclotomic(big, _reduced(big, vec.items()), den) for key, vec in acc.items()}
 
 
-@cache
-def _power_theta_to_P_items(gamma: MultiPartition) -> tuple[tuple[MultiPartition, Cyclotomic], ...]:
-    """Expand a character-orbit power sum in the Hall-Littlewood basis.
+def _class_conductor(q: int, orbits) -> int:
+    """The conductor e of a class with the given point orbits, as (size,
+    residue) pairs: the lcm of the orbit orders N_d/gcd(residue, N_d).
 
-    Each part passes through the variable-change transform, and the resulting
+    By the Deligne-Lusztig character formula every character value at the
+    class lies in Q(zeta_e): the semisimple part contributes roots of unity
+    of those orders, and unitary Green functions are integers.
+
+    >>> _class_conductor(3, [(1, 0), (1, 2), (2, 1)])
+    8
+    """
+    return math.lcm(*(level_order(q, d) // math.gcd(k, level_order(q, d)) for d, k in orbits))
+
+
+@cache
+def _columns(q: int, n: int) -> tuple[tuple[MultiPartition, ...], dict, tuple[int, ...]]:
+    """The classes of degree n in table order, their column indices, and
+    each column's conductor."""
+    cols = tuple(enumerate_mp(q, "phi", n))
+    conductors = tuple(
+        _class_conductor(q, [(orb.size, orb.residue) for orb in mu.orbits()]) for mu in cols
+    )
+    return cols, {mu: k for k, mu in enumerate(cols)}, conductors
+
+
+@cache
+def _green_cols(q: int, key: tuple) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The point-orbit power sum nu of a block key: its conductor, and its
+    Hall-Littlewood expansion keyed by column index. Green polynomial values
+    vanish unless a class has the point orbits of nu, so every column there
+    shares nu's conductor."""
+    nu = mp_of_blocks("phi", q, key)
+    _, index, conductors = _columns(q, mp_size(nu))
+    e = _class_conductor(q, [(size, residue) for size, residue, _ in key])
+    green = tuple((index[mu], g) for mu, g in _power_phi_to_P_items(nu))
+    if any(conductors[k] != e for k, _ in green):
+        raise AssertionError(f"a Green row of {key} leaves its point orbits")
+    return e, green
+
+
+@cache
+def _power_theta_to_P_cols(gamma: MultiPartition) -> tuple[tuple[int, tuple], ...]:
+    """T, the p_theta to P transition: one character-orbit power sum in the
+    Hall-Littlewood basis, as (column index, terms) pairs, each entry's terms
+    its nonzero power-basis coordinates at the column's conductor e_mu.
+
+    Each part passes through the variable-change transform, whose
+    coefficients stay unreduced integer counts of roots of unity, lifted to
+    exponents mod N, N the degree-n common conductor. The resulting
     point-orbit power sums are multiplied out block by block, summing the
-    products per point-orbit multipartition nu as they form; Green polynomial
-    values then finish the conversion. Until the last step, values are sums
-    of N-th roots of unity, N the degree-n common conductor, kept as integer
-    coordinates over exponents mod N, so products only add exponents. Each
-    entry is reduced to the power basis at N once, at the end. Coefficients
-    are algebraic integers, so each has denominator 1.
+    products per point-orbit multipartition nu as they form, so products only
+    add exponents. Each nu's exponents are then divided by N/e_nu, which must
+    be exact, reduced to the power basis at e_nu once, and spread over the
+    Green polynomial values of nu's row. Coefficients are algebraic integers,
+    so each has denominator 1.
     """
     q = gamma.q
     big = conductor(q, mp_size(gamma))
     blocks = []
     for orb, lam in gamma.assignment:
+        step = big // level_order(q, orb.size)
         for c in lam:
-            opts = []
-            for (f, power), v in transform_p(orb, c, q).items():
-                if v.den != 1:
-                    raise AssertionError("transform coefficient is not integral")
-                step = big // v.conductor
-                opts.append(((f.size, f.residue, power), [(i * step, x) for i, x in v.terms]))
-            blocks.append(opts)
-    acc: dict[MultiPartition, dict[int, int]] = {}
+            blocks.append([
+                (key, [(i * step, x) for i, x in counts])
+                for key, counts in _transform_counts(orb, c)
+            ])
+    acc: dict[int, dict[int, int]] = {}
     for key, vec in _multiply_blocks(big, blocks).items():
-        for mu, g in _power_phi_to_P_items(mp_of_blocks("phi", q, key)):
-            out = acc.setdefault(mu, {})
-            for e, x in vec.items():
-                out[e] = out.get(e, 0) + g * x
-    items = _cyclotomics(acc, big, 1).items()
-    return tuple(sorted(((mu, v) for mu, v in items if v), key=lambda kv: kv[0].sort_key()))
+        e, green = _green_cols(q, key)
+        div = big // e
+        if any(i % div for i in vec):
+            raise AssertionError(f"exponents at {key} do not divide down to conductor {e}")
+        terms = [t for t in _reduced(e, ((i // div, x) for i, x in vec.items())).items() if t[1]]
+        for col, g in green if terms else ():
+            out = acc.setdefault(col, {})
+            for i, x in terms:
+                out[i] = out.get(i, 0) + g * x
+    entries = ((col, tuple(t for t in acc[col].items() if t[1])) for col in sorted(acc))
+    return tuple((col, terms) for col, terms in entries if terms)
+
+
+@cache
+def _power_theta_to_P_items(gamma: MultiPartition) -> tuple[tuple[MultiPartition, Cyclotomic], ...]:
+    """Expand a character-orbit power sum in the Hall-Littlewood basis: the
+    entries of T, each lifted to the degree-n common conductor N."""
+    q, n = gamma.q, mp_size(gamma)
+    big = conductor(q, n)
+    cols, _, conductors = _columns(q, n)
+    return tuple(
+        (cols[k], Cyclotomic(conductors[k], dict(terms)).lift(big))
+        for k, terms in _power_theta_to_P_cols(gamma)
+    )
 
 
 def _invert(mat: list[list[Fraction]]) -> list[list[Fraction]]:
@@ -326,7 +385,7 @@ def _P_to_power_theta_items(mu: MultiPartition) -> tuple[tuple[MultiPartition, C
     (sums of roots of unity) over the known denominator N_m, m = c*|f|. Those
     are scaled once to integer coordinates over exponents mod N, N the
     degree-n common conductor, and multiplied out block by block as in
-    ``_power_theta_to_P_items``, over one common denominator for the whole
+    ``_power_theta_to_P_cols``, over one common denominator for the whole
     element. Each entry is reduced to the power basis at N once, at the end,
     and every entry is written at N. Keys are built once per distinct
     character-orbit multipartition.
@@ -501,20 +560,20 @@ def expand_schur(label: CharLabel | MultiPartition) -> SymElement:
     return to_basis(schur(lam), "P")
 
 
-def _row_coords(label: CharLabel) -> tuple[dict[MultiPartition, dict[int, int]], int]:
-    """One table row at the common conductor, keyed by class: sign(label)
-    times the sum over torus labels gamma of (chi(gamma)/z_gamma) T(gamma),
-    T the p_theta to P transition, summed as integer coordinates over the
-    returned denominator."""
+def _row_cols(label: CharLabel) -> tuple[dict[int, dict[int, int]], int]:
+    """One table row keyed by column index: sign(label) times the sum over
+    torus labels gamma of (chi(gamma)/z_gamma) T(gamma), summed per column as
+    integer coordinates at the column's conductor, over the returned
+    denominator."""
     items = _schur_items(label.lam)
     den = math.lcm(*(c.denominator for _, c in items))
     sign = label.sign()
-    acc: dict[MultiPartition, dict[int, int]] = {}
+    acc: dict[int, dict[int, int]] = {}
     for gamma, c in items:
         f = sign * c.numerator * (den // c.denominator)
-        for mu, v in _power_theta_to_P_items(gamma):
-            out = acc.setdefault(mu, {})
-            for i, x in v.terms:
+        for col, terms in _power_theta_to_P_cols(gamma):
+            out = acc.setdefault(col, {})
+            for i, x in terms:
                 out[i] = out.get(i, 0) + f * x
     return acc, den
 
@@ -523,9 +582,12 @@ def character_row(label: CharLabel | MultiPartition) -> SymElement:
     """The irreducible character of a label, as coefficients on class
     indicators, at the common conductor."""
     label = label if isinstance(label, CharLabel) else CharLabel(label)
-    acc, den = _row_coords(label)
+    acc, den = _row_cols(label)
+    cols, _, conductors = _columns(label.q, label.n)
     big = conductor(label.q, label.n)
-    values = {mu: Cyclotomic(big, coords, den) for mu, coords in acc.items()}
+    values = {
+        cols[k]: Cyclotomic(conductors[k], coords, den).lift(big) for k, coords in acc.items()
+    }
     return SymElement(label.q, label.n, "pi", values)
 
 
@@ -558,7 +620,13 @@ def identity_column_entry(label: CharLabel | MultiPartition) -> int:
 
 @dataclass(frozen=True)
 class CharTable:
-    """Full character table of one unitary group, with exact entries."""
+    """Full character table of one unitary group, with exact entries.
+
+    Each entry is stored at its column's conductor e_mu, the lcm of the
+    orders of the class's point orbits, and equal entries are one shared
+    object. ``lifted`` and ``rendered`` write every entry at the common
+    conductor N of degree n, as all output does.
+    """
 
     n: int
     q: int
@@ -568,11 +636,20 @@ class CharTable:
     class_sizes: tuple[int, ...]
 
     def rendered(self, render) -> list[list]:
-        """The grid of values passed through ``render``, called once per
-        distinct entry object (``char_table`` shares equal entries)."""
-        distinct = {id(v): v for row in self.values for v in row}
-        out = {key: render(v) for key, v in distinct.items()}
+        """The grid of values lifted to the common conductor N and passed
+        through ``render``: each distinct entry object is lifted and rendered
+        once, and equal objects share the result."""
+        big = conductor(self.q, self.n)
+        out: dict[int, object] = {}
+        for row in self.values:
+            for v in row:
+                if id(v) not in out:
+                    out[id(v)] = render(v.lift(big))
         return [[out[id(v)] for v in row] for row in self.values]
+
+    def lifted(self) -> list[list[Cyclotomic]]:
+        """The grid with every entry lifted to the common conductor N."""
+        return self.rendered(lambda v: v)
 
     def to_json(self) -> dict:
         return {
@@ -588,32 +665,38 @@ class CharTable:
 def char_table(n: int, q: int) -> CharTable:
     """Character table of the rank-n unitary group over the q^2 field.
 
-    Rows and columns follow the canonical multipartition order. Each class
-    is one shared object: the columns and the class keys of every row's
-    transition items are the same ``mp_of_blocks`` objects, so row lookups
-    hit by identity. Equal entries are one shared object too: a table holds
-    few distinct values, so each row's integer coordinates are brought to
-    their stored form and one ``Cyclotomic`` is built per distinct form,
-    zero included.
+    Rows and columns follow the canonical multipartition order; the columns
+    are the ``enumerate_mp`` objects. Each row is summed per column index
+    from T at the column conductors e_mu, and entries are stored there, not
+    at the common conductor N. Equal entries are one shared object: a table
+    holds few distinct values, so each entry's integer coordinates are
+    brought to their stored form and one ``Cyclotomic`` is built per distinct
+    (conductor, terms, den), zero included.
     """
     if n < 1:
         raise ValueError("rank must be positive")
     rows = tuple(CharLabel(lam) for lam in enumerate_mp(q, "theta", n))
-    cols = tuple(enumerate_mp(q, "phi", n))
-    big = conductor(q, n)
+    cols, _, conductors = _columns(q, n)
     interned: dict[tuple, Cyclotomic] = {}
+    # the same coordinates recur across rows: each is brought to its stored
+    # form once
+    seen: dict[tuple, Cyclotomic] = {}
 
-    def entry(coords: dict[int, int], den: int) -> Cyclotomic:
-        form = _stored_form(coords, den)
-        v = interned.get(form)
+    def entry(e: int, coords: dict[int, int], den: int) -> Cyclotomic:
+        raw = (e, den, *coords.items())
+        v = seen.get(raw)
         if v is None:
-            v = interned[form] = Cyclotomic(big, dict(form[0]), form[1])
+            form = (e, *_stored_form(coords, den))
+            v = interned.get(form)
+            if v is None:
+                v = interned[form] = Cyclotomic(e, dict(form[1]), form[2])
+            seen[raw] = v
         return v
 
     values = []
     for label in rows:
-        acc, den = _row_coords(label)
-        values.append(tuple(entry(acc.get(mu, {}), den) for mu in cols))
+        acc, den = _row_cols(label)
+        values.append(tuple(entry(e, acc.get(k, {}), den) for k, e in enumerate(conductors)))
     sizes = tuple(class_size(mu) for mu in cols)
     return CharTable(n, q, rows, cols, tuple(values), sizes)
 

@@ -359,19 +359,18 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 def _cmd_bruteforce(args: argparse.Namespace) -> int:
     n, q = args.n, args.q
-    census = class_census(
-        n, q, allow_large=args.allow_large, max_order=args.max_group_order
-    )
-    count = symmetric_count(
-        n, q, allow_large=args.allow_large, max_order=args.max_group_order
-    )
-    indicators = twisted_fs(
-        n,
-        q,
-        "transpose_inverse",
-        allow_large=args.allow_large,
-        max_order=args.max_group_order,
-    )
+    limits = {"allow_large": args.allow_large, "max_order": args.max_group_order}
+    census = class_census(n, q, **limits)
+    header = ["label", "size"]
+
+    def rows() -> list[list[str]]:
+        return [[mp_text(mu), str(size)] for mu, size in census.items()]
+
+    if args.format == "csv":
+        # csv lists the census alone; only json and pretty print the counts below
+        return _emit(args, dict, header, rows)
+    count = symmetric_count(n, q, **limits)
+    indicators = twisted_fs(n, q, "transpose_inverse", **limits)
     order = unitary_group_order(q, n)
     fs = list(indicators.values())
     return _emit(
@@ -387,8 +386,8 @@ def _cmd_bruteforce(args: argparse.Namespace) -> int:
             "symmetric_count": count,
             "fs_indicators": {mp_text(label.lam): v for label, v in indicators.items()},
         },
-        ["label", "size"],
-        lambda: [[mp_text(mu), str(size)] for mu, size in census.items()],
+        header,
+        rows,
         before=f"U_{n}(F_{q*q}) by matrix enumeration, order {order}\n\n",
         after=f"\nsymmetric elements: {count}\ntwisted indicators: "
         + ("all 1" if all(v == 1 for v in fs) else " ".join(str(v) for v in fs))
@@ -444,7 +443,8 @@ def _check_orthogonality(args: argparse.Namespace) -> tuple[bool, str]:
     table = char_table(n, q)
     order = unitary_group_order(q, n)
     m = len(table.rows)
-    support = [[(k, v) for k, v in enumerate(row) if v] for row in table.values]
+    # every entry at the common conductor, so the sums never change conductor
+    support = [[(k, v) for k, v in enumerate(row) if v] for row in table.lifted()]
     weighted = [{k: v.conj() * table.class_sizes[k] for k, v in row} for row in support]
     zero = Cyclotomic.zero(conductor(q, n))
     for i in range(m):

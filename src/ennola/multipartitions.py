@@ -8,6 +8,7 @@ combinatorial side of that correspondence.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -179,21 +180,22 @@ def unipotent_part(nu: MultiPartition) -> MultiPartition:
 @cache
 def _enumerate_mp(q: int, kind: str, n: int) -> tuple[MultiPartition, ...]:
     orbs = enumerate_orbits(q, kind, max(n, 1))
+    sizes = [orb.size for orb in orbs]
     found: list[MultiPartition] = []
 
     def assign(index: int, remaining: int, blocks: tuple) -> None:
+        # blocks on orbits before index are chosen; the next one goes on a
+        # later orbit that fits, so the recursion is at most n deep. Orbits
+        # are sorted by size, and the last that fits is tried first.
         if remaining == 0:
             key = tuple((orb.size, orb.residue, p) for orb, lam in blocks for p in reversed(lam))
             found.append(mp_of_blocks(kind, q, key))
             return
-        # orbits are sorted by size, so once one is too big no later one fits
-        if index == len(orbs) or orbs[index].size > remaining:
-            return
-        orb = orbs[index]
-        assign(index + 1, remaining, blocks)
-        for k in range(1, remaining // orb.size + 1):
-            for lam in partitions_of(k):
-                assign(index + 1, remaining - orb.size * k, blocks + ((orb, lam),))
+        for i in reversed(range(index, bisect.bisect_right(sizes, remaining))):
+            orb = orbs[i]
+            for k in range(1, remaining // orb.size + 1):
+                for lam in partitions_of(k):
+                    assign(i + 1, remaining - orb.size * k, blocks + ((orb, lam),))
 
     assign(0, n, ())
     found.sort(key=MultiPartition.sort_key)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .exactnum import Cyclotomic, _mobius
+from .exactnum import Cyclotomic, _mobius, _reduced
 
 
 def level_order(q: int, m: int) -> int:
@@ -169,30 +169,42 @@ def char_eval(xi: CyclicElt, x: CyclicElt) -> Cyclotomic:
 
 
 @cache
-def _transform_items(phi: OrbitId, n: int) -> tuple[tuple[OrbitId, int, Cyclotomic], ...]:
-    q = phi.q
-    r = phi.size
+def _level_points(q: int, m: int) -> tuple[tuple[tuple, tuple[int, ...]], ...]:
+    """The level-m points grouped by point orbit, one ``orbit_of`` per point:
+    ((orbit size, orbit residue, local power m/size), residues), sorted."""
+    groups: dict[tuple[int, int, int], list[int]] = {}
+    for k in range(level_order(q, m)):
+        orb = orbit_of("phi", CyclicElt(q, m, k))
+        groups.setdefault((orb.size, orb.residue, m // orb.size), []).append(k)
+    return tuple(sorted((key, tuple(ks)) for key, ks in groups.items()))
+
+
+@cache
+def _transform_counts(phi: OrbitId, n: int) -> tuple[tuple[tuple, tuple], ...]:
+    """The coefficients of ``transform_p`` unreduced, as integer counts.
+
+    Each key (orbit size, orbit residue, local power) carries the
+    (exponent, count) pairs of its coefficient as a sum of N_{|phi|}-th roots
+    of unity: every point x of that orbit adds the sign (-1)^(n|phi|-1) at the
+    exponent of ``char_eval``. Those roots have order dividing the order o of
+    the point orbit, so once the exponents are lifted to a common conductor N,
+    each is a multiple of N/o: unreduced, the coefficient can be divided down
+    to conductor o. Keys whose coefficient is zero are left out.
+    """
+    q, r = phi.q, phi.size
     m = n * r
-    nm = level_order(q, m)
     nr = level_order(q, r)
-    xi = CyclicElt(q, r, phi.residue)
+    mult = (-1) ** (m + r) * phi.residue
     sign = (-1) ** (m - 1)
-    acc: dict[tuple[OrbitId, int], Cyclotomic] = {}
-    for k in range(nm):
-        x = CyclicElt(q, m, k)
-        orb = orbit_of("phi", x)
-        key = (orb, m // orb.size)
-        val = char_eval(xi, x)
-        if sign < 0:
-            val = -val
-        prev = acc.get(key)
-        acc[key] = val if prev is None else prev + val
-    zero = Cyclotomic.zero(nr)
-    return tuple(
-        (orb, power, v) for (orb, power), v in sorted(
-            acc.items(), key=lambda kv: (kv[0][0].size, kv[0][0].residue, kv[0][1])
-        ) if v != zero
-    )
+    out = []
+    for key, ks in _level_points(q, m):
+        counts: dict[int, int] = {}
+        for k in ks:
+            e = mult * k % nr
+            counts[e] = counts.get(e, 0) + sign
+        if any(_reduced(nr, counts.items()).values()):
+            out.append((key, tuple(sorted(counts.items()))))
+    return tuple(out)
 
 
 def transform_p(phi: OrbitId, n: int, q: int) -> dict[tuple[OrbitId, int], Cyclotomic]:
@@ -209,4 +221,8 @@ def transform_p(phi: OrbitId, n: int, q: int) -> dict[tuple[OrbitId, int], Cyclo
         raise ValueError("mismatched q")
     if n < 1:
         raise ValueError("power index must be positive")
-    return {(orb, power): v for orb, power, v in _transform_items(phi, n)}
+    nr = level_order(q, phi.size)
+    return {
+        (OrbitId("phi", q, size, residue), power): Cyclotomic(nr, _reduced(nr, counts))
+        for (size, residue, power), counts in _transform_counts(phi, n)
+    }

@@ -8,6 +8,7 @@ hand evaluations of Hall and Green polynomials.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -42,7 +43,7 @@ from ennola.multipartitions import (
     mp_conjugate,
     unitary_group_order,
 )
-from ennola.orbits import OrbitId
+from ennola.orbits import OrbitId, level_order
 from ennola.partitions import z_stat
 
 
@@ -440,8 +441,9 @@ def test_table_rows_match_the_generic_schur_expansion(n: int, q: int) -> None:
         for mu, v in zip(table.cols, row):
             assert v == expanded.coefficient(mu) * label.sign()
             assert v == chi.coefficient(mu)
+    # one shared object per stored form, which includes the column conductor
     entries = [v for row in table.values for v in row]
-    assert len({id(v) for v in entries}) == len({(v.terms, v.den) for v in entries})
+    assert len({id(v) for v in entries}) == len({(v.conductor, v.terms, v.den) for v in entries})
 
 
 def test_degree_zero_power_sum_is_one() -> None:
@@ -454,6 +456,66 @@ def test_degree_zero_power_sum_is_one() -> None:
 def test_char_table_rejects_bad_rank() -> None:
     with pytest.raises(ValueError):
         char_table(0, 2)
+
+
+def _orbit_order(orb: OrbitId) -> int:
+    size = level_order(orb.q, orb.size)
+    return size // math.gcd(orb.residue, size)
+
+
+@pytest.mark.parametrize("n, q", [(3, 3), (4, 2)])
+def test_table_entries_are_the_character_rows_at_column_conductors(n: int, q: int) -> None:
+    # each entry is stored at e_mu, the lcm of the orders of the class's point
+    # orbits; character_row writes the same values at the common conductor
+    table = char_table(n, q)
+    big = conductor(q, n)
+    for label, row in zip(table.rows, table.values):
+        chi = character_row(label)
+        assert all(v.conductor == big for v in chi.coeffs.values())
+        for mu, v in zip(table.cols, row):
+            assert v.conductor == math.lcm(*(_orbit_order(orb) for orb in mu.orbits()))
+            assert v == chi.coefficient(mu)
+
+
+@pytest.fixture
+def fresh_transition_caches():
+    import ennola.charmap as cm
+
+    caches = (cm._columns, cm._green_cols, cm._power_theta_to_P_cols, cm._power_theta_to_P_items)
+    for fn in caches:
+        fn.cache_clear()
+    yield
+    for fn in caches:
+        fn.cache_clear()
+
+
+def test_a_wrong_column_conductor_fails_the_exact_division(monkeypatch, fresh_transition_caches):
+    # one prime short of e_mu, the transition's exponents cannot be divided
+    # down to the column conductor, and building the table must say so
+    import ennola.charmap as cm
+    from ennola.exactnum import _prime_divisors
+
+    real = cm._class_conductor
+
+    def short(q: int, orbits) -> int:
+        e = real(q, orbits)
+        return e // _prime_divisors(e)[0] if e > 1 else e
+
+    monkeypatch.setattr(cm, "_class_conductor", short)
+    with pytest.raises(AssertionError, match="do not divide down"):
+        char_table(2, 2)
+
+
+def test_char_table_4_4_identity_column_is_the_hook_degrees() -> None:
+    # common conductor 3315, beyond reach while every entry was computed there
+    from ennola.reptables import degree_hook
+
+    q, n = 4, 4
+    table = char_table(n, q)
+    k = table.cols.index(identity_class(q, n))
+    degrees = [rational(row[k]) for row in table.values]
+    assert degrees == [degree_hook(label.lam) for label in table.rows]
+    assert sum(d * d for d in degrees) == unitary_group_order(q, n)
 
 
 TRANSITION_SIZES = [(2, n) for n in range(1, 5)] + [(3, n) for n in range(1, 4)] + [(4, 1), (4, 2)]

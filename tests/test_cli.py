@@ -139,6 +139,25 @@ def test_chartable_5_2_csv_stdout_is_pinned(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "n, q, size, digest",
+    [
+        (4, 3, 238275, "53d4fa4f6dcdb2c42f8e3104653128d4ed2c8ce1c223153f2e486446120f8663"),
+        (3, 4, 244582, "210b59ac96d7d2aa058eff22aad3a80d873693c415531c8deeebcbdbce057eed"),
+        (6, 2, 2323212, "85fb02448bcf391e858655c9c844cd16b0a63e46fe725f11a5c466062169c711"),
+    ],
+)
+def test_chartable_csv_at_the_common_conductor_is_pinned(capsys, n, q, size, digest):
+    # entries are stored at their column conductors and lifted to the common
+    # conductor (560, 195, 63) only to be written; the digests were recorded
+    # when every entry was computed at the common conductor
+    code, out, _ = run(capsys, "chartable", "--n", str(n), "--q", str(q), "--format", "csv")
+    assert code == 0
+    data = out.encode()
+    assert len(data) == size
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
 def test_chartable_csv_grid(capsys):
     code, out, _ = run(capsys, "chartable", "--n", "2", "--q", "2", "--format", "csv")
     assert code == 0
@@ -155,6 +174,19 @@ def test_chartable_pretty_prints_rounded_floats(capsys):
     assert code == 0
     assert "-0.5+0.8660254038i" in out
     assert "order 3" in out
+
+
+def test_classes_4_9_csv_stdout_is_pinned(capsys):
+    # 8390 classes over some 1600 point orbits: the enumeration recurses once
+    # per chosen orbit, not once per orbit
+    code, out, _ = run(capsys, "classes", "--n", "4", "--q", "9", "--format", "csv")
+    assert code == 0
+    data = out.encode()
+    assert len(data) == 323113
+    assert (
+        hashlib.sha256(data).hexdigest()
+        == "c639b91516ae5829c625c126332f37f05fbdc42e2864965d801cd26e65266db0"
+    )
 
 
 def test_classes_json_tiles_group_order(capsys):
@@ -404,6 +436,21 @@ def test_bruteforce_json_document(capsys):
     assert doc["symmetric_count"] == 12
     assert len(doc["fs_indicators"]) == 9
     assert set(doc["fs_indicators"].values()) == {1}
+
+
+def test_bruteforce_csv_skips_the_counts_it_does_not_print(capsys, monkeypatch):
+    from ennola import cli
+
+    _, expected, _ = run(capsys, "bruteforce", "--n", "2", "--q", "2", "--format", "csv")
+
+    def unused(*args, **kwargs):
+        raise AssertionError("csv output does not print this count")
+
+    monkeypatch.setattr(cli, "symmetric_count", unused)
+    monkeypatch.setattr(cli, "twisted_fs", unused)
+    code, out, _ = run(capsys, "bruteforce", "--n", "2", "--q", "2", "--format", "csv")
+    assert code == 0
+    assert out == expected
 
 
 # ------------------------------------------------------------------ verify
