@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import product as iproduct
 
-from .exactnum import Cyclotomic, _reduced, _stored_form
+from .exactnum import Cyclotomic, _reduced, _stored_form, _unit_generators
 from .multipartitions import (
     MultiPartition,
     centralizer_order,
@@ -41,11 +41,22 @@ from .multipartitions import (
     mp_stats,
     torus_data,
 )
-from .orbits import CyclicElt, OrbitId, _transform_counts, char_eval, enumerate_orbits, level_order
+from .orbits import (
+    CyclicElt,
+    OrbitId,
+    _transform_counts,
+    char_eval,
+    enumerate_orbits,
+    level_order,
+    orbit_of,
+)
 from .partitions import Partition, partitions_of, z_stat
 from .symfunc import green_poly, hall_polynomial, sn_char
 
 _BASIS_KIND = {"P": "phi", "pi": "phi", "p_theta": "theta", "s_theta": "theta"}
+
+# Cyclotomic is frozen, so one zero serves every missing coefficient
+_ZERO = Cyclotomic.zero(1)
 
 
 @cache
@@ -95,7 +106,7 @@ class SymElement:
         object.__setattr__(self, "coeffs", cleaned)
 
     def coefficient(self, mp: MultiPartition) -> Cyclotomic:
-        return self.coeffs.get(mp, Cyclotomic.zero(1))
+        return self.coeffs.get(mp, _ZERO)
 
     def __add__(self, other: SymElement) -> SymElement:
         if (self.q, self.n, self.basis) != (other.q, other.n, other.basis):
@@ -580,7 +591,8 @@ def _row_cols(label: CharLabel) -> tuple[dict[int, dict[int, int]], int]:
 
 def character_row(label: CharLabel | MultiPartition) -> SymElement:
     """The irreducible character of a label, as coefficients on class
-    indicators, at the common conductor."""
+    indicators, at the common conductor: the direct route, summed from T for
+    this label alone, where ``char_table`` fills most rows by sigma_a."""
     label = label if isinstance(label, CharLabel) else CharLabel(label)
     acc, den = _row_cols(label)
     cols, _, conductors = _columns(label.q, label.n)
@@ -618,14 +630,68 @@ def identity_column_entry(label: CharLabel | MultiPartition) -> int:
     return int(value)
 
 
+@cache
+def _galois_orbit(kind: str, q: int, size: int, residue: int, a: int) -> tuple[int, int]:
+    """(size, residue) of the orbit through residue * a at level size, for a
+    unit a mod N_size."""
+    orb = orbit_of(kind, CyclicElt(q, size, residue * a))
+    return orb.size, orb.residue
+
+
+def _galois_label(lam: MultiPartition, a: int) -> MultiPartition:
+    """The label lam^a: every orbit residue multiplied by the unit a, each
+    block moved to the canonical orbit through the product, which is cached
+    per (size, residue, a). The character of lam^a is sigma_a applied to
+    the character of lam, sigma_a the automorphism zeta -> zeta^a.
+
+    >>> x = OrbitId("theta", 2, 3, 1)
+    >>> _galois_label(MultiPartition("theta", 2, ((x, (1,)),)), 2).orbits()[0].residue
+    2
+    """
+    key = []
+    for orb, part in lam.assignment:
+        size, residue = _galois_orbit(lam.kind, lam.q, orb.size, orb.residue, a)
+        key += [(size, residue, p) for p in part]
+    return mp_of_blocks(lam.kind, lam.q, tuple(sorted(key)))
+
+
+def _row_orbits(q: int, n: int) -> tuple[tuple[int, int], ...]:
+    """For each row of the degree-n table, in table order, the index of the
+    row it is filled from and a unit a mod N, N = ``conductor(q, n)``, such
+    that this row's label is that row's label to the a. The first row of
+    each Galois orbit is its representative, (its own index, 1); the rest of
+    the orbit is reached from it through generators of the units mod N."""
+    rows = enumerate_mp(q, "theta", n)
+    index = {lam: i for i, lam in enumerate(rows)}
+    big = conductor(q, n)
+    gens = _unit_generators(big)
+    plan: list = [None] * len(rows)
+    for i, lam in enumerate(rows):
+        if plan[i] is not None:
+            continue
+        plan[i] = (i, 1)
+        frontier = [(lam, 1)]
+        while frontier:
+            mu, a = frontier.pop()
+            for g in gens:
+                j = index[_galois_label(mu, g)]
+                if plan[j] is None:
+                    b = a * g % big
+                    plan[j] = (i, b)
+                    frontier.append((rows[j], b))
+    return tuple(plan)
+
+
 @dataclass(frozen=True)
 class CharTable:
     """Full character table of one unitary group, with exact entries.
 
     Each entry is stored at its column's conductor e_mu, the lcm of the
     orders of the class's point orbits, and equal entries are one shared
-    object. ``lifted`` and ``rendered`` write every entry at the common
-    conductor N of degree n, as all output does.
+    object. One row per Galois orbit of labels is computed; the others are
+    its images under sigma_a (see ``char_table``). ``lifted`` and
+    ``rendered`` write every entry at the common conductor N of degree n, as
+    all output does.
     """
 
     n: int
@@ -666,12 +732,16 @@ def char_table(n: int, q: int) -> CharTable:
     """Character table of the rank-n unitary group over the q^2 field.
 
     Rows and columns follow the canonical multipartition order; the columns
-    are the ``enumerate_mp`` objects. Each row is summed per column index
-    from T at the column conductors e_mu, and entries are stored there, not
-    at the common conductor N. Equal entries are one shared object: a table
-    holds few distinct values, so each entry's integer coordinates are
-    brought to their stored form and one ``Cyclotomic`` is built per distinct
-    (conductor, terms, den), zero included.
+    are the ``enumerate_mp`` objects. Rows are built once per Galois orbit:
+    the first row of each orbit is summed per column index from T at the
+    column conductors e_mu, so T is built only for the torus labels those
+    rows use, and every other row, of a label lam^a, is filled as sigma_a of
+    its representative's entries, zeta_e^i -> zeta_e^(i a) at each e_mu.
+    ``character_row`` stays the direct route for any single row. Entries are
+    stored at e_mu, not at the common conductor N, and equal entries are one
+    shared object: a table holds few distinct values, so each entry's integer
+    coordinates are brought to their stored form and one ``Cyclotomic`` is
+    built per distinct (conductor, terms, den), zero included.
     """
     if n < 1:
         raise ValueError("rank must be positive")
@@ -693,10 +763,28 @@ def char_table(n: int, q: int) -> CharTable:
             seen[raw] = v
         return v
 
-    values = []
-    for label in rows:
-        acc, den = _row_cols(label)
-        values.append(tuple(entry(e, acc.get(k, {}), den) for k, e in enumerate(conductors)))
+    # sigma_a fixes rational entries, so only a representative's irrational
+    # columns change along its orbit; sigma_b of each interned entry, b the
+    # unit a mod e, is computed once
+    irrational: dict[int, list[int]] = {}
+    images: dict[tuple[int, int], Cyclotomic] = {}
+    values: list[tuple[Cyclotomic, ...]] = []
+    for i, (rep, a) in enumerate(_row_orbits(q, n)):
+        if rep == i:
+            acc, den = _row_cols(rows[i])
+            row = [entry(e, acc.get(k, {}), den) for k, e in enumerate(conductors)]
+            irrational[i] = [k for k, v in enumerate(row) if not v.is_rational()]
+        else:
+            row = list(values[rep])
+            for k in irrational[rep]:
+                v, e = row[k], conductors[k]
+                b = a % e
+                w = images.get((id(v), b))
+                if w is None:
+                    coords = _reduced(e, ((j * b % e, c) for j, c in v.terms))
+                    w = images[id(v), b] = entry(e, coords, v.den)
+                row[k] = w
+        values.append(tuple(row))
     sizes = tuple(class_size(mu) for mu in cols)
     return CharTable(n, q, rows, cols, tuple(values), sizes)
 

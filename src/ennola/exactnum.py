@@ -91,6 +91,34 @@ def euler_phi(n: int) -> int:
     return n // math.prod(primes) * math.prod(p - 1 for p in primes)
 
 
+@functools.cache
+def _unit_generators(n: int) -> tuple[int, ...]:
+    """Generators of the unit group (Z/n)^*, the Galois group of Q(zeta_n).
+
+    Each prime power p^k exactly dividing n contributes the generators of
+    (Z/p^k)^*: a primitive root for odd p (one mod p that stays primitive
+    mod p^2), and -1 and 5 for p = 2. The Chinese remainder theorem lifts
+    each to the unit that is 1 modulo the other prime powers.
+
+    >>> _unit_generators(560)
+    (351, 421, 337, 241)
+    """
+    gens = []
+    for p in _prime_divisors(n):
+        pk = p
+        while n % (pk * p) == 0:
+            pk *= p
+        if p == 2:
+            local = [-1, 5][: (pk >= 4) + (pk >= 8)]
+        else:
+            orders = [(p - 1) // r for r in _prime_divisors(p - 1)]
+            g = next(g for g in range(2, p) if all(pow(g, k, p) != 1 for k in orders))
+            local = [g + p if pk > p and pow(g, p - 1, p * p) == 1 else g]
+        rest = n // pk
+        gens += [(1 + rest * ((g - 1) * pow(rest, -1, pk) % pk)) % n for g in local]
+    return tuple(gens)
+
+
 def _mobius(n: int) -> int:
     primes = _prime_divisors(n)
     return (-1) ** len(primes) if math.prod(primes) == n else 0

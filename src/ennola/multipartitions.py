@@ -12,7 +12,6 @@ import bisect
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from typing import NamedTuple
 
@@ -26,7 +25,6 @@ from .partitions import (
     partitions_of,
     z_stat,
 )
-from .symfunc import psi_poly
 
 
 def unitary_group_order(q: int, n: int) -> int:
@@ -209,11 +207,20 @@ def enumerate_mp(q: int, kind: str, n: int) -> list[MultiPartition]:
     return list(_enumerate_mp(q, kind, n))
 
 
-def _block_centralizer(lam: Partition, x: Fraction) -> Fraction:
-    # a_lam(x) = x^(|lam| + 2 n(lam)) prod_j psi_{m_j}(1/x)
-    value = x ** (sum(lam) + 2 * n_stat(lam))
-    for mult in multiplicities(lam).values():
-        value *= psi_poly(mult).eval(1 / x)
+def _block_centralizer(lam: Partition, x: int) -> int:
+    """a_lam(x) = x^(|lam| + 2 n(lam)) prod_j psi_{m_j}(1/x), in integers.
+
+    With psi_m(1/x) = x^(-m(m+1)/2) prod_{i<=m} (x^i - 1), each multiplicity
+    m_j moves m_j(m_j+1)/2 out of the exponent, which stays nonnegative.
+
+    >>> _block_centralizer((1, 1), -2)
+    18
+    """
+    mults = multiplicities(lam).values()
+    value = x ** (sum(lam) + 2 * n_stat(lam) - sum(m * (m + 1) // 2 for m in mults))
+    for m in mults:
+        for i in range(1, m + 1):
+            value *= x**i - 1
     return value
 
 
@@ -224,12 +231,12 @@ def centralizer_order(mu: MultiPartition) -> int:
     >>> centralizer_order(MultiPartition("phi", 2, ((trivial, (1, 1)),)))
     18
     """
-    value = Fraction((-1) ** mp_size(mu))
+    value = (-1) ** mp_size(mu)
     for orb, lam in mu.assignment:
-        value *= _block_centralizer(lam, Fraction((-orb.q) ** orb.size))
-    if value.denominator != 1 or value <= 0:
+        value *= _block_centralizer(lam, (-orb.q) ** orb.size)
+    if value <= 0:
         raise AssertionError(f"centralizer order came out as {value}")
-    return int(value)
+    return value
 
 
 def class_size(mu: MultiPartition) -> int:

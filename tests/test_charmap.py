@@ -518,6 +518,105 @@ def test_char_table_4_4_identity_column_is_the_hook_degrees() -> None:
     assert sum(d * d for d in degrees) == unitary_group_order(q, n)
 
 
+def _direct_mismatches(table, rows) -> list[int]:
+    # the direct route of character_row, each row summed from T, compared
+    # with the table at the column conductors e_mu
+    from ennola.charmap import _columns, _row_cols
+
+    _, _, conductors = _columns(table.q, table.n)
+    bad = []
+    for i in rows:
+        acc, den = _row_cols(table.rows[i])
+        direct = [Cyclotomic(e, acc.get(k, {}), den) for k, e in enumerate(conductors)]
+        if any(v.conductor != e or v != w for v, w, e in zip(table.values[i], direct, conductors)):
+            bad.append(i)
+    return bad
+
+
+def _filled_rows(q: int, n: int) -> list[int]:
+    from ennola.charmap import _row_orbits
+
+    return [i for i, (rep, _) in enumerate(_row_orbits(q, n)) if rep != i]
+
+
+@pytest.mark.parametrize("n, q", [(4, 3), (5, 2)])
+def test_filled_table_equals_the_direct_rows(n: int, q: int) -> None:
+    table = char_table(n, q)
+    assert _filled_rows(q, n)
+    assert _direct_mismatches(table, range(len(table.rows))) == []
+
+
+def test_filled_rows_of_the_6_2_table_equal_the_direct_rows() -> None:
+    filled = _filled_rows(2, 6)
+    assert len(filled) == 324 - 170
+    assert _direct_mismatches(char_table(6, 2), filled) == []
+
+
+def test_row_orbit_sources_are_earlier_rows_and_map_labels_by_their_unit() -> None:
+    from ennola.charmap import _galois_label, _row_orbits
+
+    q, n = 3, 4
+    rows = enumerate_mp(q, "theta", n)
+    big = conductor(q, n)
+    for i, (rep, a) in enumerate(_row_orbits(q, n)):
+        assert rep <= i and math.gcd(a, big) == 1
+        assert _galois_label(rows[rep], a) is rows[i]
+        assert (rep == i) == (a == 1)
+
+
+@pytest.mark.parametrize("q, n", [(2, 3), (3, 3), (2, 4)])
+def test_galois_label_is_an_action_on_the_labels(q: int, n: int) -> None:
+    from ennola.charmap import _galois_label
+
+    labels = enumerate_mp(q, "theta", n)
+    big = conductor(q, n)
+    units = [a for a in range(1, big) if math.gcd(a, big) == 1]
+    assert all(_galois_label(lam, 1) is lam for lam in labels)
+    for a in units:
+        image = [_galois_label(lam, a) for lam in labels]
+        assert sorted(map(id, image)) == sorted(map(id, labels))
+    rng = random.Random(12)
+    for lam in labels:
+        for a, b in ((rng.choice(units), rng.choice(units)) for _ in range(6)):
+            assert _galois_label(_galois_label(lam, a), b) is _galois_label(lam, a * b % big)
+
+
+def test_char_table_builds_T_only_for_representative_rows(fresh_transition_caches) -> None:
+    import ennola.charmap as cm
+
+    char_table(4, 3)
+    reps = [i for i, (rep, _) in enumerate(cm._row_orbits(3, 4)) if rep == i]
+    used = {gamma for i in reps for gamma, _ in cm._schur_items(enumerate_mp(3, "theta", 4)[i])}
+    assert len(reps) == 99
+    assert cm._power_theta_to_P_cols.cache_info().currsize == len(used) == 100
+
+
+def test_filling_by_the_inverse_unit_fails_the_direct_rows(monkeypatch) -> None:
+    # sigma_(a^-1) in place of sigma_a gives the row of another label in the
+    # same orbit: the degrees survive, so only the direct rows can tell
+    import ennola.charmap as cm
+
+    q, n = 3, 4
+    good = char_table(n, q)
+    real = cm._row_orbits
+    big = conductor(q, n)
+    monkeypatch.setattr(
+        cm, "_row_orbits", lambda q, n: tuple((rep, pow(a, -1, big)) for rep, a in real(q, n))
+    )
+    bad = char_table(n, q)
+    k = bad.cols.index(identity_class(q, n))
+    assert [row[k] for row in bad.values] == [row[k] for row in good.values]
+    mismatches = _direct_mismatches(bad, range(len(bad.rows)))
+    assert mismatches and set(mismatches) <= set(_filled_rows(q, n))
+
+
+def test_missing_coefficients_share_one_zero() -> None:
+    elem = pi_class(identity_class(2, 2))
+    others = [mu for mu in enumerate_mp(2, "phi", 2) if mu != identity_class(2, 2)]
+    assert len({id(elem.coefficient(mu)) for mu in others}) == 1
+    assert elem.coefficient(others[0]) == 0
+
+
 TRANSITION_SIZES = [(2, n) for n in range(1, 5)] + [(3, n) for n in range(1, 4)] + [(4, 1), (4, 2)]
 
 

@@ -7,7 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ennola.exactnum import Cyclotomic, QPoly, cyclotomic_polynomial, euler_phi
+from ennola.exactnum import Cyclotomic, QPoly, _unit_generators, cyclotomic_polynomial, euler_phi
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 9, 16, 27, 50, 392, 560, 3315])
+def test_unit_generators_generate_the_units(n: int):
+    gens = _unit_generators(n)
+    reached, frontier = {1 % n}, [1 % n]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            if x * g % n not in reached:
+                reached.add(x * g % n)
+                frontier.append(x * g % n)
+    assert reached == {k for k in range(n) if math.gcd(k, n) == 1}
 
 
 def test_qpoly_eval_basic():

@@ -209,6 +209,34 @@ def test_centralizer_order_examples():
         assert centralizer_order(MultiPartition("phi", 2, ((orb, (1,)),))) == 3
 
 
+def test_integer_centralizer_matches_the_psi_polynomial_formula():
+    # a_lam(x) = x^(|lam| + 2 n(lam)) prod_j psi_{m_j}(1/x), with the psi
+    # polynomials built and evaluated by sympy
+    sympy = pytest.importorskip("sympy")
+    from ennola.multipartitions import _block_centralizer
+    from ennola.partitions import multiplicities, n_stat
+
+    t = sympy.Symbol("t")
+
+    def reference(lam, x) -> int:
+        value = sympy.Integer(x) ** (sum(lam) + 2 * n_stat(lam))
+        for m in multiplicities(lam).values():
+            psi = sympy.prod([1 - t**i for i in range(1, m + 1)])
+            value *= psi.subs(t, sympy.Rational(1, x))
+        assert value.is_integer
+        return int(value)
+
+    for k in range(1, 8):
+        for lam in partitions_of(k):
+            for x in (-2, -3, 4, -8, 9, -27):
+                assert _block_centralizer(lam, x) == reference(lam, x), (lam, x)
+    for q, n in [(2, 5), (3, 3), (4, 2)]:
+        for mu in enumerate_mp(q, "phi", n):
+            sign = (-1) ** mp_size(mu)
+            expect = sign * math.prod(reference(lam, (-q) ** orb.size) for orb, lam in mu.assignment)
+            assert centralizer_order(mu) == expect
+
+
 def test_class_equation():
     for q in (2, 3):
         for n in range(1, 5):
