@@ -185,17 +185,6 @@ def _green_row(nu: Partition, t: int) -> tuple[tuple[Partition, int], ...]:
     return tuple((mu, g) for mu in partitions_of(sum(nu)) if (g := _green_block(nu, mu, t)))
 
 
-@cache
-def _power_phi_to_P_items(nu: MultiPartition) -> tuple[tuple[MultiPartition, int], ...]:
-    """Expand a point-orbit power sum in the Hall-Littlewood basis.
-
-    The coefficient of the element at mu is the product over point orbits of
-    classical Green polynomials evaluated at (-q)^d, and vanishes unless mu
-    assigns each orbit the same total as nu.
-    """
-    return _blockwise(nu, lambda orb, parts: _green_row(parts, (-orb.q) ** orb.size))
-
-
 def _mul_into(out: dict[int, int], a, b, big: int) -> None:
     """Add the product of two sums of integer multiples of N-th roots of
     unity, N = big, given as (exponent, integer) pairs, into ``out``."""
@@ -256,14 +245,17 @@ def _columns(q: int, n: int) -> tuple[tuple[MultiPartition, ...], dict, tuple[in
 
 @cache
 def _green_cols(q: int, key: tuple) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """The point-orbit power sum nu of a block key: its conductor, and its
-    Hall-Littlewood expansion keyed by column index. Green polynomial values
-    vanish unless a class has the point orbits of nu, so every column there
-    shares nu's conductor."""
+    """The point-orbit power sum nu of a sorted block key: its conductor, and
+    its Hall-Littlewood expansion keyed by column index, the only cache of
+    these rows. The coefficient at mu is the product over point orbits of
+    classical Green polynomials evaluated at (-q)^d, and vanishes unless mu
+    has the point orbits of nu, each with the same total, so every column
+    there shares nu's conductor."""
     nu = mp_of_blocks("phi", q, key)
     _, index, conductors = _columns(q, mp_size(nu))
     e = _class_conductor(q, [(size, residue) for size, residue, _ in key])
-    green = tuple((index[mu], g) for mu, g in _power_phi_to_P_items(nu))
+    rows = _blockwise(nu, lambda orb, parts: _green_row(parts, (-q) ** orb.size))
+    green = tuple((index[mu], g) for mu, g in rows)
     if any(conductors[k] != e for k, _ in green):
         raise AssertionError(f"a Green row of {key} leaves its point orbits")
     return e, green
@@ -310,10 +302,11 @@ def _power_theta_to_P_cols(gamma: MultiPartition) -> tuple[tuple[int, tuple], ..
     return tuple((col, terms) for col, terms in entries if terms)
 
 
-@cache
 def _power_theta_to_P_items(gamma: MultiPartition) -> tuple[tuple[MultiPartition, Cyclotomic], ...]:
     """Expand a character-orbit power sum in the Hall-Littlewood basis: the
-    entries of T, each lifted to the degree-n common conductor N."""
+    entries of T, read from ``_power_theta_to_P_cols`` and lifted to the
+    degree-n common conductor N on each call, for ``to_basis`` and
+    ``ls_sum``; the lift is not cached."""
     q, n = gamma.q, mp_size(gamma)
     big = conductor(q, n)
     cols, _, conductors = _columns(q, n)
@@ -340,21 +333,20 @@ def _invert(mat: list[list[Fraction]]) -> list[list[Fraction]]:
 
 
 @cache
-def _inverse_green(k: int, t: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Inverse of the degree-k Green matrix at parameter value t, rows and
-    columns in ``partitions_of(k)`` order."""
+def _inverse_green(k: int, t: int) -> dict[Partition, tuple[tuple[Partition, Fraction], ...]]:
+    """Inverse of the degree-k Green matrix at parameter value t, the only
+    cache of it: each row's nonzero (partition, entry) pairs, keyed by the
+    row's partition, in ``partitions_of(k)`` order."""
     ps = partitions_of(k)
     mat = [[Fraction(_green_block(nu, mu, t)) for mu in ps] for nu in ps]
-    return tuple(tuple(row) for row in _invert(mat))
+    inverse = _invert(mat)
+    return {lam: tuple((nu, cf) for nu, cf in zip(ps, row) if cf) for lam, row in zip(ps, inverse)}
 
 
-@cache
 def _hl_to_power_row(lam: Partition, t: int) -> tuple[tuple[Partition, Fraction], ...]:
     """One Hall-Littlewood element at parameter value t, written in
     single-orbit power sums: a row of the inverse Green matrix."""
-    ps = partitions_of(sum(lam))
-    row = _inverse_green(sum(lam), t)[ps.index(lam)]
-    return tuple((nu, cf) for nu, cf in zip(ps, row) if cf)
+    return _inverse_green(sum(lam), t)[lam]
 
 
 @cache
@@ -416,8 +408,7 @@ def _P_to_power_theta_items(mu: MultiPartition) -> tuple[tuple[MultiPartition, C
         for phi, power, v in _power_phi_block_to_theta_items(orb, c):
             if nm % v.den:
                 raise AssertionError("transform inverse does not have denominator N_m")
-            step, scale = big // v.conductor, nm // v.den
-            opts.append(((phi.size, phi.residue, power), [(i * step, x * scale) for i, x in v.terms]))
+            opts.append(((phi.size, phi.residue, power), _exponents(v, big, nm)))
         theta_opts[orb, c] = opts
     acc: dict[tuple, dict[int, int]] = {}
     for num, blocks, d in combos:
@@ -689,9 +680,8 @@ class CharTable:
     Each entry is stored at its column's conductor e_mu, the lcm of the
     orders of the class's point orbits, and equal entries are one shared
     object. One row per Galois orbit of labels is computed; the others are
-    its images under sigma_a (see ``char_table``). ``lifted`` and
-    ``rendered`` write every entry at the common conductor N of degree n, as
-    all output does.
+    its images under sigma_a (see ``char_table``). ``rendered`` writes every
+    entry at the common conductor N of degree n, as all output does.
     """
 
     n: int
@@ -712,10 +702,6 @@ class CharTable:
                 if id(v) not in out:
                     out[id(v)] = render(v.lift(big))
         return [[out[id(v)] for v in row] for row in self.values]
-
-    def lifted(self) -> list[list[Cyclotomic]]:
-        """The grid with every entry lifted to the common conductor N."""
-        return self.rendered(lambda v: v)
 
     def to_json(self) -> dict:
         return {
@@ -789,7 +775,7 @@ def char_table(n: int, q: int) -> CharTable:
     return CharTable(n, q, rows, cols, tuple(values), sizes)
 
 
-def dl_character(nu: MultiPartition, check: bool = True) -> SymElement:
+def dl_character(nu: MultiPartition) -> SymElement:
     """Torus-induced virtual character of a torus label, in the image basis.
 
     The label encodes a torus and a character of it as a character-orbit
@@ -804,18 +790,20 @@ def dl_character(nu: MultiPartition, check: bool = True) -> SymElement:
     blocks = sum(len(lam) for _, lam in nu.assignment)
     sign = (-1) ** (n - blocks)
     direct = to_basis(power_theta(nu), "P").scale(sign)
-    if check:
-        torus = _dl_torus_sum(nu)
-        if torus != direct:
-            raise AssertionError("torus-sum and power-sum routes disagree")
+    if _dl_torus_sum(nu) != direct:
+        raise AssertionError("torus-sum and power-sum routes disagree")
     return direct
 
 
 def _dl_torus_sum(nu: MultiPartition) -> SymElement:
-    """Sum character values times Green values over all torus elements."""
+    """Sum character values times Green values over all torus elements.
+
+    Each element's class label is read as its sorted block key, and its
+    Green row is the one ``_green_cols`` holds for T, keyed by column index."""
     q = nu.q
     n = mp_size(nu)
     big = conductor(q, n)
+    cols, _, _ = _columns(q, n)
     blocks = [(orb, c) for orb, lam in nu.assignment for c in lam]
     levels = [orb.size * c for orb, c in blocks]
     chars = [CyclicElt(q, orb.size, orb.residue) for orb, _ in blocks]
@@ -826,8 +814,9 @@ def _dl_torus_sum(nu: MultiPartition) -> SymElement:
         for xi, x in zip(chars, elts):
             theta = theta * char_eval(xi, x).lift(big)
         gamma = gamma_t(list(zip(levels, elts)))
-        for mu, g in _power_phi_to_P_items(gamma):
-            _acc(acc, mu, theta * g)
+        key = sorted((orb.size, orb.residue, p) for orb, part in gamma.assignment for p in part)
+        for k, g in _green_cols(q, tuple(key))[1]:
+            _acc(acc, cols[k], theta * g)
     return SymElement(q, n, "P", acc)
 
 
@@ -880,7 +869,6 @@ def inner_product(a: SymElement, b: SymElement) -> Cyclotomic:
     return total
 
 
-@cache
 def _hall_combine_items(
     mu1: MultiPartition, mu2: MultiPartition
 ) -> tuple[tuple[MultiPartition, int], ...]:

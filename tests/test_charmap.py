@@ -193,7 +193,7 @@ def test_class_indicator_norm() -> None:
 @pytest.mark.parametrize("q,n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
 def test_torus_character_two_routes_agree(q: int, n: int) -> None:
     for nu in enumerate_mp(q, "theta", n):
-        dl_character(nu, check=True)
+        dl_character(nu)
 
 
 def test_torus_character_rank_one_example() -> None:
@@ -216,7 +216,7 @@ def test_torus_character_norms(q: int) -> None:
     top = 3 if q == 2 else 2
     for n in range(1, top + 1):
         for nu in enumerate_mp(q, "theta", n):
-            got = rational(inner_product(dl_character(nu, check=False), dl_character(nu, check=False)))
+            got = rational(inner_product(dl_character(nu), dl_character(nu)))
             want = 1
             for _, block in nu.assignment:
                 want *= z_stat(block)
@@ -226,7 +226,7 @@ def test_torus_character_norms(q: int) -> None:
 def test_regular_torus_character_is_irreducible() -> None:
     phi = OrbitId("theta", 2, 3, 1)
     nu = MultiPartition("theta", 2, ((phi, (1,)),))
-    norm = rational(inner_product(dl_character(nu, check=False), dl_character(nu, check=False)))
+    norm = rational(inner_product(dl_character(nu), dl_character(nu)))
     assert norm == 1
 
 
@@ -481,7 +481,7 @@ def test_table_entries_are_the_character_rows_at_column_conductors(n: int, q: in
 def fresh_transition_caches():
     import ennola.charmap as cm
 
-    caches = (cm._columns, cm._green_cols, cm._power_theta_to_P_cols, cm._power_theta_to_P_items)
+    caches = (cm._columns, cm._green_cols, cm._power_theta_to_P_cols)
     for fn in caches:
         fn.cache_clear()
     yield
@@ -690,14 +690,16 @@ def test_power_theta_to_P_keys_are_shared(n: int, q: int) -> None:
 
 @pytest.mark.parametrize("n, q", [(3, 3), (4, 2)])
 def test_blockwise_keys_are_the_enumerated_objects(n: int, q: int) -> None:
-    from ennola.charmap import _power_phi_to_P_items, _power_to_schur_items, _schur_items
+    from ennola.charmap import _dl_torus_sum, _power_to_schur_items, _schur_items
 
-    for kind, items_of in (
-        ("theta", _schur_items), ("theta", _power_to_schur_items), ("phi", _power_phi_to_P_items)
-    ):
+    for kind, items_of in (("theta", _schur_items), ("theta", _power_to_schur_items)):
         objects = {mp: mp for mp in enumerate_mp(q, kind, n)}
         for mp in objects:
             assert all(objects[key] is key for key, _ in items_of(mp))
+    # the torus sum's classes are the enumerated point-orbit objects
+    objects = {mp: mp for mp in enumerate_mp(q, "phi", n)}
+    for nu in enumerate_mp(q, "theta", n):
+        assert all(objects[key] is key for key in _dl_torus_sum(nu).coeffs)
 
 
 def test_cross_check_routes_stay_on_cyclotomic_arithmetic() -> None:
@@ -755,6 +757,27 @@ def test_to_basis_stored_forms_are_pinned() -> None:
         for line in _stored_forms(q, n):
             digest.update(repr(line).encode())
     assert digest.hexdigest() == PINNED_FORMS
+
+
+# every pair of the benchmark's products workload at q = 2, and the pairs of
+# sizes (1, 1) and (1, 2) at q = 3
+CIRC_PIN_PAIRS = [(2, na, nb) for na in range(1, 4) for nb in range(1, 5 - na)] + [(3, 1, 1), (3, 1, 2)]
+PINNED_CIRC_FORMS = "08bdd20c0b3902e16900d37ff9b90739da346c46cc6562169f5b557ce620b4d2"
+
+
+def test_circ_product_stored_forms_are_pinned() -> None:
+    # the inverse Green matrix feeds every factor's p_theta image
+    import hashlib
+
+    digest = hashlib.sha256()
+    for q, na, nb in CIRC_PIN_PAIRS:
+        for ma in enumerate_mp(q, "phi", na):
+            for mb in enumerate_mp(q, "phi", nb):
+                prod = circ_product(pi_class(ma), pi_class(mb))
+                digest.update(repr((ma.sort_key(), mb.sort_key())).encode())
+                for key, v in sorted(prod.coeffs.items(), key=lambda kv: kv[0].sort_key()):
+                    digest.update(repr((key.sort_key(), v.conductor, v.terms, v.den)).encode())
+    assert digest.hexdigest() == PINNED_CIRC_FORMS
 
 
 # Coefficients at conductors outside conductor(2, n), mixed with rational ones
