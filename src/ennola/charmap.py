@@ -16,13 +16,17 @@ Elements are exact: coefficients are cyclotomic numbers, and every basis
 conversion is a finite integer or rational linear map (symmetric group
 characters, Green polynomial evaluations, and the orbit transform). The
 conversions run along s_theta <-> p_theta <-> P, and pi shares the
-coefficients of P. Each step factors over orbits: one row entry is chosen
-per block, and the entries multiply.
+coefficients of P. The steps s_theta <-> p_theta and p_theta -> P factor over
+orbits: one row entry is chosen per block, and the entries multiply. The step
+P -> p_theta does not: since the characteristic map is an isometry, it is T,
+the p_theta -> P transition, conjugated, transposed and scaled by the squared
+norms.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -34,7 +38,6 @@ from .multipartitions import (
     centralizer_order,
     class_size,
     enumerate_mp,
-    gamma_t,
     mp_conjugate,
     mp_of_blocks,
     mp_size,
@@ -46,7 +49,6 @@ from .orbits import (
     OrbitId,
     _transform_counts,
     char_eval,
-    enumerate_orbits,
     level_order,
     orbit_of,
 )
@@ -195,15 +197,15 @@ def _mul_into(out: dict[int, int], a, b, big: int) -> None:
             out[s] = get(s, 0) + x * y
 
 
-def _multiply_blocks(big: int, blocks, start: int = 1) -> dict[tuple, dict[int, int]]:
+def _multiply_blocks(big: int, blocks) -> dict[tuple, dict[int, int]]:
     """Multiply out a product of sums block by block.
 
     Each block is a list of options (key part, terms), the terms (exponent,
     integer) pairs over exponents mod big. Partial products are keyed by the
     sorted tuple of key parts chosen so far and summed per key as they form,
-    so products only add exponents. The empty product is ``start``.
+    so products only add exponents.
     """
-    state: dict[tuple, dict[int, int]] = {(): {0: start}}
+    state: dict[tuple, dict[int, int]] = {(): {0: 1}}
     for opts in blocks:
         grown: dict[tuple, dict[int, int]] = {}
         for key, vec in state.items():
@@ -316,109 +318,33 @@ def _power_theta_to_P_items(gamma: MultiPartition) -> tuple[tuple[MultiPartition
     )
 
 
-def _invert(mat: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Exact inverse of a square matrix by Gauss-Jordan elimination."""
-    size = len(mat)
-    work = [row[:] + [Fraction(int(i == j)) for j in range(size)] for i, row in enumerate(mat)]
-    for col in range(size):
-        pivot = next(r for r in range(col, size) if work[r][col])
-        work[col], work[pivot] = work[pivot], work[col]
-        inv = 1 / work[col][col]
-        work[col] = [v * inv for v in work[col]]
-        for r in range(size):
-            if r != col and work[r][col]:
-                factor = work[r][col]
-                work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-    return [row[size:] for row in work]
-
-
-@cache
-def _inverse_green(k: int, t: int) -> dict[Partition, tuple[tuple[Partition, Fraction], ...]]:
-    """Inverse of the degree-k Green matrix at parameter value t, the only
-    cache of it: each row's nonzero (partition, entry) pairs, keyed by the
-    row's partition, in ``partitions_of(k)`` order."""
-    ps = partitions_of(k)
-    mat = [[Fraction(_green_block(nu, mu, t)) for mu in ps] for nu in ps]
-    inverse = _invert(mat)
-    return {lam: tuple((nu, cf) for nu, cf in zip(ps, row) if cf) for lam, row in zip(ps, inverse)}
-
-
-def _hl_to_power_row(lam: Partition, t: int) -> tuple[tuple[Partition, Fraction], ...]:
-    """One Hall-Littlewood element at parameter value t, written in
-    single-orbit power sums: a row of the inverse Green matrix."""
-    return _inverse_green(sum(lam), t)[lam]
-
-
-@cache
-def _power_phi_block_to_theta_items(f: OrbitId, c: int) -> tuple[tuple[OrbitId, int, Cyclotomic], ...]:
-    """Invert the variable-change transform on one point-orbit power sum.
-
-    Fourier inversion over the level-m group, m = c*d(f), gives
-    p_c(f) = (-1)^(m-1)/N_m sum over character orbits phi with size dividing m
-    of (sum of conjugated character values on a point of f) p_{m/|phi|}(phi).
-    """
-    q = f.q
-    m = c * f.size
-    nm = level_order(q, m)
-    nr_cache: dict[int, int] = {}
-    y = CyclicElt(q, f.size, f.residue).embed(m)
-    out = []
-    for phi in enumerate_orbits(q, "theta", m):
-        r = phi.size
-        if m % r:
-            continue
-        nr = nr_cache.setdefault(r, level_order(q, r))
-        total = Cyclotomic.zero(nr)
-        j = phi.residue
-        for _ in range(r):
-            total = total + char_eval(CyclicElt(q, r, j), y).conj()
-            j = j * -q % nr
-        if total:
-            out.append((phi, m // r, total * Fraction((-1) ** (m - 1), nm)))
-    return tuple(out)
-
-
 @cache
 def _P_to_power_theta_items(mu: MultiPartition) -> tuple[tuple[MultiPartition, Cyclotomic], ...]:
-    """Expand one Hall-Littlewood element in character-orbit power sums.
+    """Expand one Hall-Littlewood element in character-orbit power sums, by
+    reading T backwards.
 
-    Per point orbit, the inverse Green matrix writes the block in point-orbit
-    power sums with rational coefficients; each power sum p_c(f) then inverts
-    the variable-change transform over character orbits, with coefficients
-    (sums of roots of unity) over the known denominator N_m, m = c*|f|. Those
-    are scaled once to integer coordinates over exponents mod N, N the
-    degree-n common conductor, and multiplied out block by block as in
-    ``_power_theta_to_P_cols``, over one common denominator for the whole
-    element. Each entry is reduced to the power basis at N once, at the end,
-    and every entry is written at N. Keys are built once per distinct
-    character-orbit multipartition.
+    The characteristic map is an isometry: indicators pi_mu are orthogonal
+    with squared norm 1/a_mu, a_mu the centralizer order, and the power sums
+    p_gamma are orthogonal with squared norm z_gamma, the product of z_lam
+    over gamma's blocks. So the coefficient of p_gamma in P_mu is
+    conj(T[gamma, mu]) / (a_mu z_gamma): each torus label's entry of T at
+    mu's column, conjugated at the column conductor e_mu, scaled, and
+    written at the degree-n common conductor N.
     """
-    q = mu.q
-    big = conductor(q, mp_size(mu))
-    combos = []
-    for nu, frac in _blockwise(mu, lambda orb, lam: _hl_to_power_row(lam, (-q) ** orb.size)):
-        blocks = [(orb, c) for orb, parts in nu.assignment for c in parts]
-        d = frac.denominator * math.prod(level_order(q, c * orb.size) for orb, c in blocks)
-        combos.append((frac.numerator, blocks, d))
-    den = math.lcm(*(d for _, _, d in combos))
-    theta_opts: dict[tuple[OrbitId, int], list] = {}
-    for orb, c in {b for _, blocks, _ in combos for b in blocks}:
-        nm = level_order(q, c * orb.size)
-        opts = []
-        for phi, power, v in _power_phi_block_to_theta_items(orb, c):
-            if nm % v.den:
-                raise AssertionError("transform inverse does not have denominator N_m")
-            opts.append(((phi.size, phi.residue, power), _exponents(v, big, nm)))
-        theta_opts[orb, c] = opts
-    acc: dict[tuple, dict[int, int]] = {}
-    for num, blocks, d in combos:
-        start = num * (den // d)
-        for key, vec in _multiply_blocks(big, [theta_opts[b] for b in blocks], start).items():
-            out = acc.setdefault(key, {})
-            for e, x in vec.items():
-                out[e] = out.get(e, 0) + x
-    items = ((mp_of_blocks("theta", q, key), v) for key, v in _cyclotomics(acc, big, den).items())
-    return tuple(sorted(((g, v) for g, v in items if v), key=lambda kv: kv[0].sort_key()))
+    q, n = mu.q, mp_size(mu)
+    big = conductor(q, n)
+    _, index, conductors = _columns(q, n)
+    k = index[mu]
+    e, a = conductors[k], centralizer_order(mu)
+    out = []
+    for gamma in enumerate_mp(q, "theta", n):
+        row = _power_theta_to_P_cols(gamma)
+        i = bisect_left(row, (k,))
+        if i < len(row) and row[i][0] == k:
+            z = math.prod(z_stat(lam) for _, lam in gamma.assignment)
+            v = Cyclotomic(e, _reduced(e, ((-j % e, x) for j, x in row[i][1])), a * z)
+            out.append((gamma, v.lift(big)))
+    return tuple(out)
 
 
 @cache
@@ -798,8 +724,9 @@ def dl_character(nu: MultiPartition) -> SymElement:
 def _dl_torus_sum(nu: MultiPartition) -> SymElement:
     """Sum character values times Green values over all torus elements.
 
-    Each element's class label is read as its sorted block key, and its
-    Green row is the one ``_green_cols`` holds for T, keyed by column index."""
+    Each element's class label is read as its sorted block key, one
+    (orbit size, orbit residue, part) per block, and its Green row is the
+    one ``_green_cols`` holds for T, keyed by column index."""
     q = nu.q
     n = mp_size(nu)
     big = conductor(q, n)
@@ -813,9 +740,11 @@ def _dl_torus_sum(nu: MultiPartition) -> SymElement:
         theta = Cyclotomic.from_rational(1, big)
         for xi, x in zip(chars, elts):
             theta = theta * char_eval(xi, x).lift(big)
-        gamma = gamma_t(list(zip(levels, elts)))
-        key = sorted((orb.size, orb.residue, p) for orb, part in gamma.assignment for p in part)
-        for k, g in _green_cols(q, tuple(key))[1]:
+        key = []
+        for m, x in zip(levels, elts):
+            orb = orbit_of("phi", x)
+            key.append((orb.size, orb.residue, m // orb.size))
+        for k, g in _green_cols(q, tuple(sorted(key)))[1]:
             _acc(acc, cols[k], theta * g)
     return SymElement(q, n, "P", acc)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
@@ -43,8 +44,9 @@ from ennola.multipartitions import (
     mp_conjugate,
     unitary_group_order,
 )
-from ennola.orbits import OrbitId, level_order
-from ennola.partitions import z_stat
+from ennola.orbits import CyclicElt, OrbitId, char_eval, enumerate_orbits, level_order
+from ennola.partitions import partitions_of, z_stat
+from ennola.symfunc import green_poly
 
 
 def all_ones_label(q: int, n: int) -> MultiPartition:
@@ -213,14 +215,17 @@ def test_torus_character_identity_coefficient() -> None:
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_torus_character_norms(q: int) -> None:
+    # <R_gamma, R_gamma'> = delta z_gamma, the orthogonality by which the
+    # P -> p_theta route reads T; inner_product stays in the P basis
     top = 3 if q == 2 else 2
     for n in range(1, top + 1):
-        for nu in enumerate_mp(q, "theta", n):
-            got = rational(inner_product(dl_character(nu), dl_character(nu)))
+        chars = [(nu, dl_character(nu)) for nu in enumerate_mp(q, "theta", n)]
+        for nu, r in chars:
             want = 1
             for _, block in nu.assignment:
                 want *= z_stat(block)
-            assert got == want
+            for nu2, r2 in chars:
+                assert rational(inner_product(r, r2)) == (want if nu2 == nu else 0)
 
 
 def test_regular_torus_character_is_irreducible() -> None:
@@ -481,7 +486,7 @@ def test_table_entries_are_the_character_rows_at_column_conductors(n: int, q: in
 def fresh_transition_caches():
     import ennola.charmap as cm
 
-    caches = (cm._columns, cm._green_cols, cm._power_theta_to_P_cols)
+    caches = (cm._columns, cm._green_cols, cm._power_theta_to_P_cols, cm._P_to_power_theta_items)
     for fn in caches:
         fn.cache_clear()
     yield
@@ -617,21 +622,67 @@ def test_missing_coefficients_share_one_zero() -> None:
     assert elem.coefficient(others[0]) == 0
 
 
-TRANSITION_SIZES = [(2, n) for n in range(1, 5)] + [(3, n) for n in range(1, 4)] + [(4, 1), (4, 2)]
+TRANSITION_SIZES = (
+    [(2, n) for n in range(1, 5)] + [(3, n) for n in range(1, 4)] + [(4, 1), (4, 2), (5, 2), (9, 2)]
+)
+
+
+@cache
+def _inverse_green_rows(k: int, t: int) -> dict[tuple[int, ...], list]:
+    # Gauss-Jordan inverse of the degree-k Green matrix at t; the row of lam
+    # writes the Hall-Littlewood element of lam in single-orbit power sums
+    ps = partitions_of(k)
+    size = len(ps)
+    work = [
+        [green_poly(nu, mu).eval(t) for mu in ps] + [Fraction(int(i == j)) for j in range(size)]
+        for i, nu in enumerate(ps)
+    ]
+    for col in range(size):
+        pivot = next(r for r in range(col, size) if work[r][col])
+        work[col], work[pivot] = work[pivot], work[col]
+        work[col] = [v / work[col][col] for v in work[col]]
+        for r in range(size):
+            if r != col and work[r][col]:
+                factor = work[r][col]
+                work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
+    return {lam: [(nu, cf) for nu, cf in zip(ps, row[size:]) if cf] for lam, row in zip(ps, work)}
+
+
+@cache
+def _inverse_transform(f: OrbitId, c: int) -> list:
+    # Fourier inversion of the variable-change transform over the level-m
+    # group, m = c*|f|: p_c(f) = (-1)^(m-1)/N_m sum over character orbits phi
+    # with |phi| dividing m of (sum of conjugated character values on a
+    # point of f) p_{m/|phi|}(phi)
+    q, m = f.q, c * f.size
+    y = CyclicElt(q, f.size, f.residue).embed(m)
+    out = []
+    for phi in enumerate_orbits(q, "theta", m):
+        r = phi.size
+        if m % r:
+            continue
+        nr = level_order(q, r)
+        total, j = Cyclotomic.zero(nr), phi.residue
+        for _ in range(r):
+            total = total + char_eval(CyclicElt(q, r, j), y).conj()
+            j = j * -q % nr
+        if total:
+            out.append((phi, m // r, total * Fraction((-1) ** (m - 1), level_order(q, m))))
+    return out
 
 
 def _reference_P_to_power_theta(mu: MultiPartition) -> dict[MultiPartition, Cyclotomic]:
-    # one Cyclotomic product and lift per combination of inverse Green row
-    # entries and inverse transform options
+    # the inverse Green matrix per block, then the inverse transform per
+    # power sum, with one Cyclotomic product and lift per combination: shares
+    # no transition code with the library's route, which reads T
     from itertools import product as iproduct
 
-    from ennola.charmap import _hl_to_power_row, _power_phi_block_to_theta_items
     from ennola.multipartitions import mp_size
 
     q = mu.q
     big = conductor(q, mp_size(mu))
     per_orbit = [
-        [(orb, nu, cf) for nu, cf in _hl_to_power_row(lam, (-q) ** orb.size)]
+        [(orb, nu, cf) for nu, cf in _inverse_green_rows(sum(lam), (-q) ** orb.size)[lam]]
         for orb, lam in mu.assignment
     ]
     acc: dict[MultiPartition, Cyclotomic] = {}
@@ -640,7 +691,7 @@ def _reference_P_to_power_theta(mu: MultiPartition) -> dict[MultiPartition, Cycl
         for _, _, cf in combo:
             frac *= cf
         blocks = [(orb, c) for orb, nu, _ in combo for c in nu]
-        theta_opts = [_power_phi_block_to_theta_items(orb, c) for orb, c in blocks]
+        theta_opts = [_inverse_transform(orb, c) for orb, c in blocks]
         for tcombo in iproduct(*theta_opts):
             coeff = Cyclotomic.from_rational(frac, big)
             parts: dict[OrbitId, list[int]] = {}
@@ -766,7 +817,7 @@ PINNED_CIRC_FORMS = "08bdd20c0b3902e16900d37ff9b90739da346c46cc6562169f5b557ce62
 
 
 def test_circ_product_stored_forms_are_pinned() -> None:
-    # the inverse Green matrix feeds every factor's p_theta image
+    # T, read backwards, feeds every factor's p_theta image
     import hashlib
 
     digest = hashlib.sha256()
