@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import cache
 
 from .charmap import CharLabel, char_table
-from .exactnum import Cyclotomic, _prime_divisors
+from .exactnum import Cyclotomic
 from .multipartitions import (
     MultiPartition,
     centralizer_order,
@@ -64,53 +64,28 @@ def _ptrim(a: list[int]) -> IntPoly:
     return tuple(a)
 
 
-def _pmul(a: IntPoly, b: IntPoly, p: int) -> IntPoly:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _ptrim(out)
-
-
-def _pmod(a: IntPoly, m: IntPoly, p: int) -> IntPoly:
-    out = list(a)
-    lead = m[-1]
-    linv = pow(lead, -1, p)
-    for i in range(len(out) - 1, len(m) - 2, -1):
-        c = out[i] % p
-        if c:
-            f = c * linv % p
-            for j, y in enumerate(m):
-                out[i - len(m) + 1 + j] = (out[i - len(m) + 1 + j] - f * y) % p
-    return _ptrim(out[: len(m) - 1])
-
-
-def _poly_pow_mod(base: IntPoly, exp: int, m: IntPoly, p: int) -> IntPoly:
-    out: IntPoly = (1,)
-    while exp:
-        if exp & 1:
-            out = _pmod(_pmul(out, base, p), m, p)
-        base = _pmod(_pmul(base, base, p), m, p)
-        exp >>= 1
-    return out
-
-
-def _is_primitive(m: IntPoly, p: int) -> bool:
-    """Whether t has multiplicative order exactly N = p^e - 1 modulo m, e = deg m.
+def _powers_of_t(p: int, e: int, m: IntPoly) -> list[int] | None:
+    """The packed powers t^0, ..., t^(N-1) modulo the monic m of degree e,
+    N = p^e - 1, if t first returns to 1 at step N; None otherwise.
 
     Then t^0, ..., t^(N-1) are N distinct units of F_p[t]/(m), so every nonzero
-    residue is a unit and m is irreducible as well.
+    residue is a unit and m is irreducible as well as primitive.
     """
-    order = p ** (len(m) - 1) - 1
-    if _poly_pow_mod((0, 1), order, m, p) != (1,):
-        return False
-    for ell in _prime_divisors(order):
-        if _poly_pow_mod((0, 1), order // ell, m, p) == (1,):
-            return False
-    return True
+    top = p**e - 1
+    weights = [p**i for i in range(e)]
+    low = [(j, y) for j, y in enumerate(m[:-1]) if y]
+    exp, cur = [1], [1] + [0] * (e - 1)
+    while True:
+        # times t: shift the coefficients up, and reduce t^e by m
+        lead = cur.pop()
+        cur.insert(0, 0)
+        if lead:
+            for j, y in low:
+                cur[j] = (cur[j] - lead * y) % p
+        v = sum(c * w for c, w in zip(cur, weights))
+        if v == 1 or len(exp) == top:
+            return exp if v == 1 and len(exp) == top else None
+        exp.append(v)
 
 
 class GF:
@@ -122,25 +97,13 @@ class GF:
     make multiplication a lookup.
     """
 
-    def __init__(self, p: int, e: int, modulus: IntPoly) -> None:
+    def __init__(self, p: int, e: int, modulus: IntPoly, exp: list[int]) -> None:
         self.p = p
         self.e = e
         self.modulus = modulus
         self.order = p**e
         self.zero = 0
         self.one = 1
-        exp = []
-        cur = [0] * e
-        cur[0] = 1
-        for _ in range(self.order - 1):
-            exp.append(sum(c * p**i for i, c in enumerate(cur)))
-            cur = [0] + cur
-            lead = cur.pop()
-            if lead:
-                for j, y in enumerate(modulus[:-1]):
-                    cur[j] = (cur[j] - lead * y) % p
-        if len(set(exp)) != self.order - 1:
-            raise AssertionError("modulus is not primitive")
         self.exp = exp
         log = [0] * self.order
         for i, v in enumerate(exp):
@@ -224,10 +187,8 @@ def field(p: int, e: int) -> GF:
             coeffs.append(v % p)
             v //= p
         m = tuple(coeffs) + (1,)
-        if m[0] == 0:
-            continue
-        if _is_primitive(m, p):
-            return GF(p, e, m)
+        if m[0] and (exp := _powers_of_t(p, e, m)) is not None:
+            return GF(p, e, m, exp)
     raise AssertionError("no primitive modulus found")
 
 

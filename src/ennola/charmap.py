@@ -20,7 +20,8 @@ coefficients of P. The steps s_theta <-> p_theta and p_theta -> P factor over
 orbits: one row entry is chosen per block, and the entries multiply. The step
 P -> p_theta does not: since the characteristic map is an isometry, it is T,
 the p_theta -> P transition, conjugated, transposed and scaled by the squared
-norms.
+norms. Both transitions store each entry at its class's column conductor e_mu,
+and ``to_basis`` alone writes the P side at the common conductor N.
 """
 
 from __future__ import annotations
@@ -304,18 +305,13 @@ def _power_theta_to_P_cols(gamma: MultiPartition) -> tuple[tuple[int, tuple], ..
     return tuple((col, terms) for col, terms in entries if terms)
 
 
-def _power_theta_to_P_items(gamma: MultiPartition) -> tuple[tuple[MultiPartition, Cyclotomic], ...]:
+def _power_theta_to_P_items(gamma: MultiPartition) -> tuple[tuple[MultiPartition, tuple], ...]:
     """Expand a character-orbit power sum in the Hall-Littlewood basis: the
-    entries of T, read from ``_power_theta_to_P_cols`` and lifted to the
-    degree-n common conductor N on each call, for ``to_basis`` and
-    ``ls_sum``; the lift is not cached."""
-    q, n = gamma.q, mp_size(gamma)
-    big = conductor(q, n)
-    cols, _, conductors = _columns(q, n)
-    return tuple(
-        (cols[k], Cyclotomic(conductors[k], dict(terms)).lift(big))
-        for k, terms in _power_theta_to_P_cols(gamma)
-    )
+    entries of T as stored in ``_power_theta_to_P_cols``, each one a
+    (conductor e_mu, terms, denominator 1) triple for ``_coords``; nothing is
+    lifted."""
+    cols, _, conductors = _columns(gamma.q, mp_size(gamma))
+    return tuple((cols[k], (conductors[k], terms, 1)) for k, terms in _power_theta_to_P_cols(gamma))
 
 
 @cache
@@ -328,11 +324,9 @@ def _P_to_power_theta_items(mu: MultiPartition) -> tuple[tuple[MultiPartition, C
     p_gamma are orthogonal with squared norm z_gamma, the product of z_lam
     over gamma's blocks. So the coefficient of p_gamma in P_mu is
     conj(T[gamma, mu]) / (a_mu z_gamma): each torus label's entry of T at
-    mu's column, conjugated at the column conductor e_mu, scaled, and
-    written at the degree-n common conductor N.
+    mu's column, conjugated, scaled and stored at the column conductor e_mu.
     """
     q, n = mu.q, mp_size(mu)
-    big = conductor(q, n)
     _, index, conductors = _columns(q, n)
     k = index[mu]
     e, a = conductors[k], centralizer_order(mu)
@@ -343,7 +337,7 @@ def _P_to_power_theta_items(mu: MultiPartition) -> tuple[tuple[MultiPartition, C
         if i < len(row) and row[i][0] == k:
             z = math.prod(z_stat(lam) for _, lam in gamma.assignment)
             v = Cyclotomic(e, _reduced(e, ((-j % e, x) for j, x in row[i][1])), a * z)
-            out.append((gamma, v.lift(big)))
+            out.append((gamma, v))
     return tuple(out)
 
 
@@ -371,17 +365,19 @@ def _power_to_schur_items(gamma: MultiPartition) -> tuple[tuple[MultiPartition, 
     return _blockwise(gamma, lambda orb, nu: _power_to_schur_row(nu))
 
 
-def _coords(v: Cyclotomic | Fraction | int) -> tuple[int, tuple[tuple[int, int], ...], int]:
+def _coords(v: Cyclotomic | tuple | Fraction | int) -> tuple[int, tuple[tuple[int, int], ...], int]:
     """Conductor, (index, coordinate) terms and denominator of a coefficient;
-    a rational one is written at conductor 1."""
+    a rational one is written at conductor 1, and such a triple passes through."""
     if isinstance(v, Cyclotomic):
         return v.conductor, v.terms, v.den
+    if isinstance(v, tuple):
+        return v
     if isinstance(v, int):
         return 1, ((0, v),), 1
     return 1, ((0, v.numerator),), v.denominator
 
 
-def _exponents(v: Cyclotomic | Fraction | int, big: int, den: int) -> list[tuple[int, int]]:
+def _exponents(v: Cyclotomic | tuple | Fraction | int, big: int, den: int) -> list[tuple[int, int]]:
     """The terms of a coefficient as integer multiples of exponents mod big,
     over the denominator den (a multiple of its own)."""
     n, terms, d = _coords(v)
@@ -389,17 +385,17 @@ def _exponents(v: Cyclotomic | Fraction | int, big: int, den: int) -> list[tuple
     return [(i * step, x * scale) for i, x in terms]
 
 
-def _expand_linear(coeffs: dict[MultiPartition, Cyclotomic], items_of) -> dict:
+def _expand_linear(coeffs: dict[MultiPartition, Cyclotomic], items_of, floor: int) -> dict:
     """Apply a linear map given on basis elements by ``items_of`` to the
     coefficients of an element; zero results are dropped.
 
     Products and sums are integer coordinates over exponents mod L, L the lcm
-    of the conductors that the coefficients and the map's values carry
-    (rational values count as conductor 1), over one common denominator.
-    Each result is reduced once and written at L.
+    of floor and of the conductors that the coefficients and the map's values
+    carry (rational values count as conductor 1), over one common
+    denominator. Each result is reduced once and written at L.
     """
     rows = [(c, items_of(mp)) for mp, c in coeffs.items()]
-    conductors, dens = {c.conductor for c, _ in rows}, set()
+    conductors, dens = {floor, *(c.conductor for c, _ in rows)}, set()
     for _, items in rows:
         for _, v in items:
             n, _, d = _coords(v)
@@ -425,7 +421,9 @@ _STEPS = {
 
 def to_basis(elem: SymElement, basis: str) -> SymElement:
     """Rewrite an element in another basis; every route is exact: ``pi``
-    shares the coefficients of ``P``, and other routes pass through ``p_theta``."""
+    shares the coefficients of ``P``, and other routes pass through ``p_theta``.
+    A step with ``P`` at either end writes its results at least at the
+    degree-n common conductor N."""
     if basis not in _BASIS_KIND:
         raise ValueError(f"unknown basis {basis!r}")
     if elem.basis == basis:
@@ -434,7 +432,8 @@ def to_basis(elem: SymElement, basis: str) -> SymElement:
     coeffs = elem.coeffs
     if src != dst:
         for step in [(src, dst)] if (src, dst) in _STEPS else [(src, "p_theta"), ("p_theta", dst)]:
-            coeffs = _expand_linear(coeffs, _STEPS[step])
+            floor = conductor(elem.q, elem.n) if "P" in step else 1
+            coeffs = _expand_linear(coeffs, _STEPS[step], floor)
     return SymElement(elem.q, elem.n, basis, coeffs)
 
 
@@ -508,16 +507,11 @@ def _row_cols(label: CharLabel) -> tuple[dict[int, dict[int, int]], int]:
 
 def character_row(label: CharLabel | MultiPartition) -> SymElement:
     """The irreducible character of a label, as coefficients on class
-    indicators, at the common conductor: the direct route, summed from T for
-    this label alone, where ``char_table`` fills most rows by sigma_a."""
+    indicators, at the common conductor: sign(label) times its Schur
+    element in the Hall-Littlewood basis, the direct route for any single
+    row, where ``char_table`` fills most rows by sigma_a."""
     label = label if isinstance(label, CharLabel) else CharLabel(label)
-    acc, den = _row_cols(label)
-    cols, _, conductors = _columns(label.q, label.n)
-    big = conductor(label.q, label.n)
-    values = {
-        cols[k]: Cyclotomic(conductors[k], coords, den).lift(big) for k, coords in acc.items()
-    }
-    return SymElement(label.q, label.n, "pi", values)
+    return SymElement(label.q, label.n, "pi", expand_schur(label).scale(label.sign()).coeffs)
 
 
 def identity_column_entry(label: CharLabel | MultiPartition) -> int:
@@ -774,9 +768,11 @@ def ls_sum(label: CharLabel | MultiPartition) -> SymElement:
             continue
         ell = sum(len(bl) for _, bl in tl.gamma.assignment)
         factor = Fraction(w * (-1) ** (n - ell), tl.z)
-        for mu, v in _power_theta_to_P_items(tl.gamma):
-            _acc(acc, mu, v * factor)
-    return SymElement(q, n, "P", acc).scale((-1) ** exponent)
+        for mu, (e, terms, _) in _power_theta_to_P_items(tl.gamma):
+            _acc(acc, mu, Cyclotomic(e, dict(terms)) * factor)
+    big = conductor(q, n)
+    lifted = {mu: v.lift(big) for mu, v in acc.items()}
+    return SymElement(q, n, "P", lifted).scale((-1) ** exponent)
 
 
 def inner_product(a: SymElement, b: SymElement) -> Cyclotomic:

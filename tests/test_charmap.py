@@ -708,15 +708,34 @@ def _reference_P_to_power_theta(mu: MultiPartition) -> dict[MultiPartition, Cycl
 
 @pytest.mark.parametrize("q, n", TRANSITION_SIZES)
 def test_P_to_power_theta_matches_cyclotomic_reference(q: int, n: int) -> None:
-    from ennola.charmap import _P_to_power_theta_items
+    from ennola.charmap import _columns, _P_to_power_theta_items
 
-    big = conductor(q, n)
-    for mu in enumerate_mp(q, "phi", n):
+    cols, _, conductors = _columns(q, n)
+    for mu, e in zip(cols, conductors):
         items = _P_to_power_theta_items(mu)
         assert dict(items) == _reference_P_to_power_theta(mu)
-        assert all(v.conductor == big for _, v in items)
+        assert all(v.conductor == e for _, v in items)
         back = to_basis(to_basis(pi_class(mu), "p_theta"), "P")
         assert back.coeffs == {mu: Cyclotomic.from_rational(1)}
+
+
+def test_power_theta_to_P_lifts_nothing(monkeypatch) -> None:
+    # T is stored at the column conductors, and to_basis writes each result
+    # at the common conductor directly, without lifting an entry of T
+    calls = []
+    real = Cyclotomic.lift
+
+    def counted(self, m):
+        calls.append(m)
+        return real(self, m)
+
+    monkeypatch.setattr(Cyclotomic, "lift", counted)
+    q, n = 3, 3
+    big = conductor(q, n)
+    for gamma in enumerate_mp(q, "theta", n):
+        image = to_basis(power_theta(gamma), "P")
+        assert image.coeffs and all(v.conductor == big for v in image.coeffs.values())
+    assert calls == []
 
 
 def test_P_to_power_theta_keys_are_shared() -> None:
