@@ -104,6 +104,8 @@ class SymElement:
                 raise ValueError("index multipartition does not match basis or q")
             if mp_size(mp) != self.n:
                 raise ValueError("index multipartition has the wrong size")
+            if not isinstance(v, Cyclotomic):
+                raise TypeError(f"coefficients must be Cyclotomic, not {type(v).__name__}")
             if v:
                 cleaned[mp] = v
         object.__setattr__(self, "coeffs", cleaned)
@@ -131,10 +133,8 @@ class SymElement:
             return False
         if self.basis != other.basis:
             return to_basis(self, "p_theta") == to_basis(other, "p_theta")
-        for mp in self.coeffs.keys() | other.coeffs.keys():
-            if self.coefficient(mp) != other.coefficient(mp):
-                return False
-        return True
+        # both maps hold no zeros, so equal elements have equal supports
+        return self.coeffs == other.coeffs
 
     def __repr__(self) -> str:
         return f"SymElement(q={self.q}, n={self.n}, basis={self.basis!r}, terms={len(self.coeffs)})"
@@ -214,11 +214,6 @@ def _multiply_blocks(big: int, blocks) -> dict[tuple, dict[int, int]]:
                 _mul_into(grown.setdefault(tuple(sorted(key + (part,))), {}), vec.items(), terms, big)
         state = grown
     return state
-
-
-def _cyclotomics(acc: dict, big: int, den: int) -> dict:
-    """Each accumulated exponent vector reduced to the power basis at big, once."""
-    return {key: Cyclotomic(big, _reduced(big, vec.items()), den) for key, vec in acc.items()}
 
 
 def _class_conductor(q: int, orbits) -> int:
@@ -387,7 +382,10 @@ def _exponents(v: Cyclotomic | tuple | Fraction | int, big: int, den: int) -> li
 
 def _expand_linear(coeffs: dict[MultiPartition, Cyclotomic], items_of, floor: int) -> dict:
     """Apply a linear map given on basis elements by ``items_of`` to the
-    coefficients of an element; zero results are dropped.
+    coefficients of an element; zero results are dropped. This is every
+    basis change of ``to_basis``, and, with ``items_of`` multiplying one
+    factor's basis element into the other factor, the bilinear product of
+    ``circ_product``.
 
     Products and sums are integer coordinates over exponents mod L, L the lcm
     of floor and of the conductors that the coefficients and the map's values
@@ -408,7 +406,10 @@ def _expand_linear(coeffs: dict[MultiPartition, Cyclotomic], items_of, floor: in
         cterms = _exponents(c, big, den_c)
         for target, v in items:
             _mul_into(acc.setdefault(target, {}), cterms, _exponents(v, big, den_v), big)
-    return {key: v for key, v in _cyclotomics(acc, big, den_c * den_v).items() if v}
+    den = den_c * den_v
+    return {
+        key: v for key, vec in acc.items() if (v := Cyclotomic(big, _reduced(big, vec.items()), den))
+    }
 
 
 _STEPS = {
@@ -512,33 +513,6 @@ def character_row(label: CharLabel | MultiPartition) -> SymElement:
     row, where ``char_table`` fills most rows by sigma_a."""
     label = label if isinstance(label, CharLabel) else CharLabel(label)
     return SymElement(label.q, label.n, "pi", expand_schur(label).scale(label.sign()).coeffs)
-
-
-def identity_column_entry(label: CharLabel | MultiPartition) -> int:
-    """Character degree read off the identity-class column, without expanding
-    the full row: only torus labels supported on the trivial point orbit
-    survive, leaving a rational sum of Green polynomial values.
-
-    >>> triv = OrbitId("theta", 2, 1, 0)
-    >>> identity_column_entry(MultiPartition("theta", 2, ((triv, (2,)),)))
-    2
-    """
-    label = label if isinstance(label, CharLabel) else CharLabel(label)
-    lam = label.lam
-    n = label.n
-    q = label.q
-    ones = (1,) * n
-    total = Fraction(0)
-    for tl in torus_data(lam).labels:
-        w = math.prod(sn_char(lam.part(orb), tl.gamma.part(orb)) for orb in lam.orbits())
-        if not w:
-            continue
-        g = _green_block(tl.factors, ones, -q)
-        total += Fraction(w, tl.z) * (-1) ** (n - len(tl.factors)) * g
-    value = label.sign() * total
-    if value.denominator != 1 or value <= 0:
-        raise AssertionError(f"character degree came out as {value}")
-    return int(value)
 
 
 @cache
@@ -849,31 +823,25 @@ def circ_product(a: SymElement, b: SymElement) -> SymElement:
     theorem, and a genuine cross-check, because this route never touches
     Hall polynomials.
 
-    Coefficient products are summed as integer coordinates over exponents
-    mod L, L the lcm of the conductors the two factors' coefficients carry,
-    over one common denominator; each result is reduced once and written at
-    L, and each result multipartition is built once.
+    The product is ``_expand_linear`` of the left factor's coefficients
+    under the map sending gamma_1 to the sum of c_2 p_(gamma_1 gamma_2) over
+    the right factor's terms c_2 p_gamma_2, with floor 1: results live at the
+    lcm L of the conductors the two factors' coefficients carry, each
+    reduced once and written at L. gamma_1 gamma_2 is the multipartition of
+    the sorted union of the two labels' (size, residue, part) blocks.
     """
     if a.q != b.q:
         raise ValueError("mismatched q")
     q = a.q
-    sides = [to_basis(elem, "p_theta").coeffs for elem in (a, b)]
-    big = math.lcm(*(v.conductor for coeffs in sides for v in coeffs.values()))
-    dens = [math.lcm(*(v.den for v in coeffs.values())) for coeffs in sides]
-    left, right = (
-        [
-            (tuple(sorted((orb.size, orb.residue, c) for orb, lam in g.assignment for c in lam)),
-             _exponents(v, big, den))
-            for g, v in coeffs.items()
-        ]
-        for coeffs, den in zip(sides, dens)
-    )
-    acc: dict[tuple, dict[int, int]] = {}
-    for k1, t1 in left:
-        for k2, t2 in right:
-            _mul_into(acc.setdefault(tuple(sorted(k1 + k2)), {}), t1, t2, big)
-    coeffs = {
-        mp_of_blocks("theta", q, key): v
-        for key, v in _cyclotomics(acc, big, dens[0] * dens[1]).items()
-    }
-    return SymElement(q, a.n + b.n, "p_theta", coeffs)
+    left, right = (to_basis(elem, "p_theta").coeffs for elem in (a, b))
+
+    def blocks(g: MultiPartition) -> tuple:
+        return tuple((orb.size, orb.residue, c) for orb, lam in g.assignment for c in lam)
+
+    right_blocks = [(blocks(g), v) for g, v in right.items()]
+
+    def times_right(g1: MultiPartition) -> list:
+        k1 = blocks(g1)
+        return [(mp_of_blocks("theta", q, tuple(sorted(k1 + k2))), v) for k2, v in right_blocks]
+
+    return SymElement(q, a.n + b.n, "p_theta", _expand_linear(left, times_right, 1))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cache
 from typing import NamedTuple
 
-from .orbits import CyclicElt, OrbitId, enumerate_orbits, level_order, orbit_of
+from .orbits import OrbitId, enumerate_orbits, level_order
 from .partitions import (
     Partition,
     conjugate,
@@ -34,11 +34,6 @@ def unitary_group_order(q: int, n: int) -> int:
     [3, 18, 648]
     """
     return q ** (n * (n - 1) // 2) * math.prod(level_order(q, i) for i in range(1, n + 1))
-
-
-def general_linear_order(q: int, n: int) -> int:
-    """Order of GL_n over the field with q elements."""
-    return q ** (n * (n - 1) // 2) * math.prod(q**i - 1 for i in range(1, n + 1))
 
 
 @dataclass(frozen=True)
@@ -156,25 +151,6 @@ def mp_stats(nu: MultiPartition) -> MPStats:
     )
 
 
-def semisimple_part(nu: MultiPartition) -> MultiPartition:
-    """Replace each block by a single column of the same size."""
-    return MultiPartition(
-        nu.kind, nu.q,
-        tuple((orb, (1,) * sum(lam)) for orb, lam in nu.assignment),
-    )
-
-
-def unipotent_part(nu: MultiPartition) -> MultiPartition:
-    """Collect the degree-scaled parts on the trivial orbit."""
-    parts = sorted(
-        (orb.size * v for orb, lam in nu.assignment for v in lam), reverse=True
-    )
-    if not parts:
-        return MultiPartition(nu.kind, nu.q, ())
-    trivial = OrbitId(nu.kind, nu.q, 1, 0)
-    return MultiPartition(nu.kind, nu.q, ((trivial, tuple(parts)),))
-
-
 @cache
 def _enumerate_mp(q: int, kind: str, n: int) -> tuple[MultiPartition, ...]:
     orbs = enumerate_orbits(q, kind, max(n, 1))
@@ -248,23 +224,6 @@ def class_size(mu: MultiPartition) -> int:
     return order // a
 
 
-def levi_factors(mu: MultiPartition) -> tuple[tuple[int, int], ...]:
-    """Factor descriptors (orbit degree d, multiplicity m) of the Levi subgroup."""
-    return tuple((orb.size, sum(lam)) for orb, lam in mu.assignment)
-
-
-def levi_order(mu: MultiPartition) -> int:
-    """Order of the Levi subgroup: unitary factors for odd degree, general
-    linear factors over the degree-d extension for even degree."""
-    total = 1
-    for d, m in levi_factors(mu):
-        if d % 2:
-            total *= unitary_group_order(mu.q**d, m)
-        else:
-            total *= general_linear_order(mu.q**d, m)
-    return total
-
-
 @dataclass(frozen=True)
 class TorusLabel:
     """Conjugacy datum in the relative Weyl group with its torus factors."""
@@ -300,28 +259,3 @@ def torus_data(nu: MultiPartition) -> TorusData:
         labels.append(TorusLabel(gamma, factors, z, weyl_order // z))
     labels.sort(key=lambda lab: lab.gamma.sort_key())
     return TorusData(weyl_order, tuple(labels))
-
-
-def gamma_t(blocks: list[tuple[int, CyclicElt]]) -> MultiPartition:
-    """Class label of a torus element given as (block size, element) pairs.
-
-    Each element contributes the part (block size)/(orbit degree) at its
-    point orbit; the unipotent part of the result recovers the block sizes.
-    """
-    collected: dict[OrbitId, list[int]] = {}
-    q = None
-    for size, x in blocks:
-        if x.level != size:
-            raise ValueError(f"element level {x.level} does not match block size {size}")
-        if q is None:
-            q = x.q
-        elif q != x.q:
-            raise ValueError("mixed q in torus element")
-        orb = orbit_of("phi", x)
-        collected.setdefault(orb, []).append(size // orb.size)
-    if q is None:
-        raise ValueError("empty torus element")
-    return MultiPartition(
-        "phi", q,
-        tuple((orb, tuple(sorted(parts, reverse=True))) for orb, parts in collected.items()),
-    )

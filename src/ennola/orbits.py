@@ -181,12 +181,16 @@ def _level_points(q: int, m: int) -> tuple[tuple[tuple, tuple[int, ...]], ...]:
 
 @cache
 def _transform_counts(phi: OrbitId, n: int) -> tuple[tuple[tuple, tuple], ...]:
-    """The coefficients of ``transform_p`` unreduced, as integer counts.
+    """The variable-change transform of the degree-n power sum at a character
+    orbit phi of character xi, in point-orbit power sums,
 
-    Each key (orbit size, orbit residue, local power) carries the
-    (exponent, count) pairs of its coefficient as a sum of N_{|phi|}-th roots
-    of unity: every point x of that orbit adds the sign (-1)^(n|phi|-1) at the
-    exponent of ``char_eval``. Those roots have order dividing the order o of
+        p_n(phi) = (-1)^(n|phi|-1) sum_x xi(x) p_{n|phi|/d}(f_x),
+
+    x over the level-n|phi| points, f_x the orbit of x and d its size. Its
+    coefficients are left unreduced, as integer counts: each key (orbit
+    size, orbit residue, local power) carries the (exponent, count) pairs of
+    its coefficient as a sum of N_{|phi|}-th roots of unity, every point x
+    of that orbit adding the sign at the exponent of ``char_eval``. Those roots have order dividing the order o of
     the point orbit, so once the exponents are lifted to a common conductor N,
     each is a multiple of N/o: unreduced, the coefficient can be divided down
     to conductor o. Keys whose coefficient is zero are left out.
@@ -205,24 +209,3 @@ def _transform_counts(phi: OrbitId, n: int) -> tuple[tuple[tuple, tuple], ...]:
         if any(_reduced(nr, counts.items()).values()):
             out.append((key, tuple(sorted(counts.items()))))
     return tuple(out)
-
-
-def transform_p(phi: OrbitId, n: int, q: int) -> dict[tuple[OrbitId, int], Cyclotomic]:
-    """Expand the degree-n power sum at a character orbit into point orbits.
-
-    Returns the coefficient map of
-    p_n(phi) = (-1)^(n|phi|-1) sum over x at level n|phi| of xi(x) p_{n|phi|/d}(f_x),
-    keyed by (point orbit, local power index); coefficients live at
-    conductor N_{|phi|}.
-    """
-    if phi.kind != "theta":
-        raise ValueError("transform_p expects a character orbit")
-    if phi.q != q:
-        raise ValueError("mismatched q")
-    if n < 1:
-        raise ValueError("power index must be positive")
-    nr = level_order(q, phi.size)
-    return {
-        (OrbitId("phi", q, size, residue), power): Cyclotomic(nr, _reduced(nr, counts))
-        for (size, residue, power), counts in _transform_counts(phi, n)
-    }

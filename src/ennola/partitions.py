@@ -20,7 +20,6 @@ __all__ = [
     "hooks",
     "partitions_of",
     "dominates",
-    "contains",
     "multiplicities",
 ]
 
@@ -106,8 +105,3 @@ def dominates(lam: Partition, mu: Partition) -> bool:
         if total_l < total_m:
             return False
     return total_l == total_m
-
-
-def contains(lam: Partition, mu: Partition) -> bool:
-    """Diagram containment mu subset-of lam."""
-    return len(mu) <= len(lam) and all(mu[i] <= lam[i] for i in range(len(mu)))

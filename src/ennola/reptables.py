@@ -29,7 +29,6 @@ from functools import cache
 from .charmap import CharLabel, SymElement, circ_product, to_basis
 from .exactnum import Cyclotomic, QPoly, cyclotomic_polynomial
 from .multipartitions import MultiPartition, enumerate_mp, mp_conjugate, mp_size, mp_stats
-from .orbits import enumerate_orbits
 from .partitions import Partition, conjugate, hooks, n_stat, partitions_of, z_stat
 from .symfunc import SymFn1, delta_spec, lr_coefficient, psi_poly
 
@@ -39,19 +38,6 @@ def weighted_hooks(lam: MultiPartition) -> list[int]:
     return [
         orb.size * h for orb, block in lam.assignment for h in hooks(block)
     ]
-
-
-def hook_sum_identity(lam: MultiPartition) -> bool:
-    """Total weighted hook length equals size + n + n of the conjugate.
-
-    >>> from ennola.orbits import OrbitId
-    >>> triv = OrbitId("theta", 2, 1, 0)
-    >>> hook_sum_identity(MultiPartition("theta", 2, ((triv, (3, 2)),)))
-    True
-    """
-    st = mp_stats(lam)
-    expect = st.size + st.n + mp_stats(st.conjugate).n
-    return sum(weighted_hooks(lam)) == expect
 
 
 def cyclotomic_factors(n: int, hooks: tuple[int, ...]) -> tuple[int, tuple[tuple[int, int], ...]]:

@@ -16,16 +16,7 @@ import functools
 from fractions import Fraction
 
 from .exactnum import QPoly
-from .partitions import (
-    Partition,
-    conjugate,
-    contains,
-    dominates,
-    multiplicities,
-    n_stat,
-    partitions_of,
-    z_stat,
-)
+from .partitions import Partition, dominates, n_stat, partitions_of, z_stat
 
 __all__ = [
     "SymFn1",
@@ -35,15 +26,11 @@ __all__ = [
     "convert",
     "multiply",
     "lr_coefficient",
-    "horizontal_strip",
     "hall_polynomial",
     "delta_spec",
     "psi_poly",
     "charge",
 ]
-
-Coeff = QPoly
-
 
 def _as_qpoly(c: QPoly | Fraction | int) -> QPoly:
     return c if isinstance(c, QPoly) else QPoly({0: c})
@@ -158,14 +145,6 @@ def charge(word: tuple[int, ...]) -> int:
         for p in sorted(positions, reverse=True):
             del word[p]
     return total
-
-
-def horizontal_strip(lam: Partition, nu: Partition, r: int) -> bool:
-    """True iff nu is contained in lam, |lam| - |nu| = r, and lam/nu has no two cells in a column."""
-    if not contains(lam, nu) or sum(lam) - sum(nu) != r:
-        return False
-    lc, nc = conjugate(lam), conjugate(nu)
-    return all(lc[j] - (nc[j] if j < len(nc) else 0) <= 1 for j in range(len(lc)))
 
 
 def _strip_extensions(prev: Partition, outer: Partition, r: int):

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import identity_column_entry
 from ennola.charmap import (
     CharLabel,
     SymElement,
@@ -28,7 +29,6 @@ from ennola.charmap import (
     conductor,
     dl_character,
     expand_schur,
-    identity_column_entry,
     inner_product,
     pi_class,
     power_theta,
@@ -83,6 +83,14 @@ def test_sym_element_validation() -> None:
     assert not zero.coeffs
 
 
+@pytest.mark.parametrize("value", [1, Fraction(1, 2)])
+def test_sym_element_rejects_non_cyclotomic_coefficients(value) -> None:
+    # a plain number would construct and multiply, then fail inside to_basis
+    nu = identity_class(2, 1)
+    with pytest.raises(TypeError, match=type(value).__name__):
+        SymElement(2, 1, "pi", {nu: value})
+
+
 def test_sym_element_algebra() -> None:
     q = 2
     a = pi_class(identity_class(q, 2))
@@ -115,6 +123,8 @@ def test_trivial_character_row_is_all_ones(q: int, n: int) -> None:
 def test_rank_two_q2_degrees() -> None:
     degs = sorted(identity_column_entry(lam) for lam in enumerate_mp(2, "theta", 2))
     assert degs == [1, 1, 1, 1, 1, 1, 2, 2, 2]
+    triv = OrbitId("theta", 2, 1, 0)
+    assert identity_column_entry(MultiPartition("theta", 2, ((triv, (2,)),))) == 2
     assert sum(d * d for d in degs) == unitary_group_order(2, 2) == 18
 
 
@@ -777,7 +787,7 @@ def test_cross_check_routes_stay_on_cyclotomic_arithmetic() -> None:
     import ennola.charmap as cm
 
     helpers = {
-        "_mul_into", "_multiply_blocks", "_exponents", "_coords", "_cyclotomics", "_blockwise"
+        "_mul_into", "_multiply_blocks", "_exponents", "_coords", "_blockwise"
     }
     for fn in (cm.star_product, cm._hall_combine_items, cm._dl_torus_sum, cm.ls_sum):
         assert not helpers & set(getattr(fn, "__wrapped__", fn).__code__.co_names)

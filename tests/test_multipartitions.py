@@ -8,20 +8,16 @@ from pathlib import Path
 
 import pytest
 
+from _oracles import gamma_t, general_linear_order, levi_order, semisimple_part, unipotent_part
 from ennola.multipartitions import (
     MultiPartition,
     centralizer_order,
     class_size,
     enumerate_mp,
-    gamma_t,
-    general_linear_order,
-    levi_order,
     mp_conjugate,
     mp_size,
     mp_stats,
-    semisimple_part,
     torus_data,
-    unipotent_part,
     unitary_group_order,
 )
 from ennola.orbits import CyclicElt, OrbitId, enumerate_orbits, level_order, orbit_count

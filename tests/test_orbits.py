@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from _oracles import transform_p
 from ennola.exactnum import Cyclotomic
 from ennola.orbits import (
     CyclicElt,
@@ -11,7 +12,6 @@ from ennola.orbits import (
     level_order,
     orbit_count,
     orbit_of,
-    transform_p,
 )
 
 

@@ -2,9 +2,9 @@ import math
 
 import pytest
 
+from _oracles import contains
 from ennola.partitions import (
     conjugate,
-    contains,
     dominates,
     hooks,
     multiplicities,

@@ -11,7 +11,8 @@ import random
 
 import pytest
 
-from ennola.charmap import CharLabel, ch_inverse, identity_column_entry, inner_product
+from _oracles import hook_sum_identity, identity_column_entry
+from ennola.charmap import CharLabel, ch_inverse, inner_product
 from ennola.multipartitions import (
     MultiPartition,
     enumerate_mp,
@@ -33,7 +34,6 @@ from ennola.reptables import (
     even_degree_sum,
     even_degree_sum_closed_form,
     gelfand_graev,
-    hook_sum_identity,
     irreducible_multiplicities,
     is_even_conjugate,
     model_decomposition,
@@ -57,6 +57,7 @@ def test_weighted_hooks_example() -> None:
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_hook_sum_identity(q: int) -> None:
+    assert hook_sum_identity(theta_label(q, ((1, 0), (3, 2))))
     top = 6 if q == 2 else 4
     for n in range(1, top + 1):
         for lam in enumerate_mp(q, "theta", n):

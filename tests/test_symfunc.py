@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from _oracles import horizontal_strip
 from ennola.exactnum import QPoly
 from ennola.partitions import conjugate, n_stat, partitions_of, z_stat
 from ennola.symfunc import (
@@ -13,7 +14,6 @@ from ennola.symfunc import (
     delta_spec,
     green_poly,
     hall_polynomial,
-    horizontal_strip,
     kostka_foulkes,
     lr_coefficient,
     multiply,
