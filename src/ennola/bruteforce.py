@@ -17,10 +17,10 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
+from ._record import Record, _set
 from .charmap import CharLabel, char_table
 from .exactnum import Cyclotomic
 from .multipartitions import (
@@ -232,25 +232,25 @@ def _fp_eval(F: GF, a: IntPoly, x: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class UMatrix:
+class UMatrix(Record):
     """Square matrix over the field of q^2 elements, entries packed as ints."""
 
+    __slots__ = _fields = ("q", "entries")
     q: int
     entries: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "entries", tuple(tuple(row) for row in self.entries)
-        )
-        n = len(self.entries)
-        p, e0 = _prime_power(self.q)
+    def __init__(self, q: int, entries) -> None:
+        entries = tuple(tuple(row) for row in entries)
+        n = len(entries)
+        p, e0 = _prime_power(q)
         bound = p ** (2 * e0)
-        for row in self.entries:
+        for row in entries:
             if len(row) != n:
                 raise ValueError("matrix is not square")
             if any(not 0 <= v < bound for v in row):
                 raise ValueError("entry out of field range")
+        _set(self, "q", q)
+        _set(self, "entries", entries)
 
     @property
     def n(self) -> int:
@@ -606,14 +606,19 @@ def _companion(F: GF, h: IntPoly):
     )
 
 
-@dataclass(frozen=True)
-class ClassRepresentative:
+class ClassRepresentative(Record):
     """A matrix with the invariant factors of one class, conjugate over the
     big linear group to every member; it need not itself be unitary."""
 
+    __slots__ = _fields = ("label", "matrix", "unitary")
     label: MultiPartition
     matrix: UMatrix
     unitary: bool
+
+    def __init__(self, label: MultiPartition, matrix: UMatrix, unitary: bool) -> None:
+        _set(self, "label", label)
+        _set(self, "matrix", matrix)
+        _set(self, "unitary", unitary)
 
 
 def class_representative(mu: MultiPartition) -> ClassRepresentative:
@@ -688,15 +693,29 @@ def symmetric_count(
     )
 
 
-@dataclass(frozen=True)
-class SymmetricProfile:
+class SymmetricProfile(Record):
     """Orbit structure of symmetric group elements under g . s = g s g^T."""
 
+    __slots__ = _fields = ("n", "q", "count", "stabilizer_orders", "orbit_sizes")
     n: int
     q: int
     count: int
     stabilizer_orders: tuple[int, ...]
     orbit_sizes: tuple[int, ...]
+
+    def __init__(
+        self,
+        n: int,
+        q: int,
+        count: int,
+        stabilizer_orders: tuple[int, ...],
+        orbit_sizes: tuple[int, ...],
+    ) -> None:
+        _set(self, "n", n)
+        _set(self, "q", q)
+        _set(self, "count", count)
+        _set(self, "stabilizer_orders", stabilizer_orders)
+        _set(self, "orbit_sizes", orbit_sizes)
 
     def to_json(self) -> dict:
         return {

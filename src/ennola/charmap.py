@@ -28,11 +28,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import product as iproduct
 
+from ._record import Record, _set
 from .exactnum import Cyclotomic, _reduced, _stored_form, _unit_generators
 from .multipartitions import (
     MultiPartition,
@@ -79,8 +79,7 @@ def _acc(table: dict[MultiPartition, Cyclotomic], key: MultiPartition, val: Cycl
     table[key] = val if prev is None else prev + val
 
 
-@dataclass(frozen=True, eq=False)
-class SymElement:
+class SymElement(Record):
     """Exact linear combination of basis elements of one graded component.
 
     The basis tag is one of ``P`` and ``pi`` (indexed by point-orbit
@@ -89,26 +88,32 @@ class SymElement:
     multipartitions). All index multipartitions must have total size n.
     """
 
+    __slots__ = _fields = ("q", "n", "basis", "coeffs")
     q: int
     n: int
     basis: str
     coeffs: dict[MultiPartition, Cyclotomic]
 
-    def __post_init__(self) -> None:
-        if self.basis not in _BASIS_KIND:
-            raise ValueError(f"unknown basis {self.basis!r}")
-        kind = _BASIS_KIND[self.basis]
+    def __init__(
+        self, q: int, n: int, basis: str, coeffs: dict[MultiPartition, Cyclotomic]
+    ) -> None:
+        if basis not in _BASIS_KIND:
+            raise ValueError(f"unknown basis {basis!r}")
+        kind = _BASIS_KIND[basis]
         cleaned = {}
-        for mp, v in self.coeffs.items():
-            if mp.kind != kind or mp.q != self.q:
+        for mp, v in coeffs.items():
+            if mp.kind != kind or mp.q != q:
                 raise ValueError("index multipartition does not match basis or q")
-            if mp_size(mp) != self.n:
+            if mp_size(mp) != n:
                 raise ValueError("index multipartition has the wrong size")
             if not isinstance(v, Cyclotomic):
                 raise TypeError(f"coefficients must be Cyclotomic, not {type(v).__name__}")
             if v:
                 cleaned[mp] = v
-        object.__setattr__(self, "coeffs", cleaned)
+        _set(self, "q", q)
+        _set(self, "n", n)
+        _set(self, "basis", basis)
+        _set(self, "coeffs", cleaned)
 
     def coefficient(self, mp: MultiPartition) -> Cyclotomic:
         return self.coeffs.get(mp, _ZERO)
@@ -452,15 +457,24 @@ def ch_inverse(elem: SymElement) -> SymElement:
     return to_basis(elem, "pi")
 
 
-@dataclass(frozen=True)
-class CharLabel:
+class CharLabel(Record):
     """Label of an irreducible character: a character-orbit multipartition."""
 
+    __slots__ = _fields = ("lam",)
     lam: MultiPartition
 
-    def __post_init__(self) -> None:
-        if self.lam.kind != "theta":
+    def __init__(self, lam: MultiPartition) -> None:
+        if lam.kind != "theta":
             raise ValueError("character labels are indexed by character orbits")
+        _set(self, "lam", lam)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not CharLabel:
+            return NotImplemented
+        return self.lam is other.lam or self.lam == other.lam
+
+    def __hash__(self) -> int:
+        return hash(self.lam)
 
     @property
     def q(self) -> int:
@@ -567,8 +581,7 @@ def _row_orbits(q: int, n: int) -> tuple[tuple[int, int], ...]:
     return tuple(plan)
 
 
-@dataclass(frozen=True)
-class CharTable:
+class CharTable(Record):
     """Full character table of one unitary group, with exact entries.
 
     Each entry is stored at its column's conductor e_mu, the lcm of the
@@ -578,12 +591,29 @@ class CharTable:
     entry at the common conductor N of degree n, as all output does.
     """
 
+    __slots__ = _fields = ("n", "q", "rows", "cols", "values", "class_sizes")
     n: int
     q: int
     rows: tuple[CharLabel, ...]
     cols: tuple[MultiPartition, ...]
     values: tuple[tuple[Cyclotomic, ...], ...]
     class_sizes: tuple[int, ...]
+
+    def __init__(
+        self,
+        n: int,
+        q: int,
+        rows: tuple[CharLabel, ...],
+        cols: tuple[MultiPartition, ...],
+        values: tuple[tuple[Cyclotomic, ...], ...],
+        class_sizes: tuple[int, ...],
+    ) -> None:
+        _set(self, "n", n)
+        _set(self, "q", q)
+        _set(self, "rows", rows)
+        _set(self, "cols", cols)
+        _set(self, "values", values)
+        _set(self, "class_sizes", class_sizes)
 
     def rendered(self, render) -> list[list]:
         """The grid of values lifted to the common conductor N and passed

@@ -7,10 +7,11 @@ threads and memo caches.
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import functools
 import math
 from fractions import Fraction
+
+from ._record import Record, _set
 
 __all__ = [
     "QPoly",
@@ -166,8 +167,7 @@ def _power_rows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(rows)
 
 
-@dataclasses.dataclass(init=False, frozen=True)
-class QPoly:
+class QPoly(Record):
     """Laurent polynomial over Q in one variable t.
 
     Stored as a sorted tuple of (exponent, coefficient) pairs with no zero
@@ -180,6 +180,7 @@ class QPoly:
     Fraction(9, 1)
     """
 
+    __slots__ = _fields = ("coeffs",)
     coeffs: tuple[tuple[int, Fraction], ...]
 
     def __init__(self, coeffs: dict[int, Fraction | int] | None = None):
@@ -188,7 +189,10 @@ class QPoly:
             c = Fraction(c)
             if c:
                 items.append((e, c))
-        object.__setattr__(self, "coeffs", tuple(items))
+        _set(self, "coeffs", tuple(items))
+
+    def __reduce__(self) -> tuple:
+        return QPoly, (dict(self.coeffs),)
 
     @staticmethod
     def gen() -> QPoly:
@@ -304,9 +308,6 @@ class QPoly:
         return "QPoly(" + " + ".join(parts) + ")"
 
 
-_setattr = object.__setattr__
-
-
 def _rational(v: int | Fraction) -> int | Fraction:
     """An exact rational operand; ints and Fractions pass through unconverted."""
     return v if isinstance(v, (int, Fraction)) else Fraction(v)
@@ -347,8 +348,7 @@ def _stored_form(coords: dict[int, int], den: int) -> tuple[tuple[tuple[int, int
     return tuple(terms), den
 
 
-@dataclasses.dataclass(init=False, frozen=True, slots=True)
-class Cyclotomic:
+class Cyclotomic(Record):
     """Element of Q(zeta_N), stored sparsely: the nonzero integer coordinates
     over the power basis 1, zeta, ..., zeta^{phi(N)-1}, as (index, coordinate)
     pairs sorted by index, with one positive common denominator that shares
@@ -359,10 +359,11 @@ class Cyclotomic:
     the coordinates either dense, as ``num`` reads them back, or as a
     mapping from index to coordinate.
 
-    The conductor N is a detail of how a value is written. Sums, differences,
-    products and equality of values at different conductors lift both
-    operands to the least common multiple, where the result lives; ``lift``
-    is needed only to fix the conductor a value is written at, for output.
+    The conductor N is a detail of how a value is written. Sums, differences
+    and products of values at different conductors lift both operands to the
+    least common multiple, where the result lives; equality reduces their
+    difference there without building either lift. ``lift`` is needed only
+    to fix the conductor a value is written at, for output.
     The hash depends on the value alone: a rational value hashes as its
     Fraction, any value as its trace to Q divided by the field degree, which
     lifting leaves unchanged. So equal values hash equally at any conductor
@@ -379,6 +380,7 @@ class Cyclotomic:
     12
     """
 
+    __slots__ = _fields = ("conductor", "terms", "den")
     conductor: int
     terms: tuple[tuple[int, int], ...]
     den: int
@@ -394,9 +396,12 @@ class Cyclotomic:
         terms, den = _stored_form(num, den)
         if terms and (terms[0][0] < 0 or terms[-1][0] >= d):
             raise ValueError(f"coordinate index out of range at conductor {conductor}")
-        _setattr(self, "conductor", conductor)
-        _setattr(self, "terms", terms)
-        _setattr(self, "den", den)
+        _set(self, "conductor", conductor)
+        _set(self, "terms", terms)
+        _set(self, "den", den)
+
+    def __reduce__(self) -> tuple:
+        return Cyclotomic, (self.conductor, dict(self.terms), self.den)
 
     @property
     def num(self) -> tuple[int, ...]:
@@ -500,8 +505,18 @@ class Cyclotomic:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Cyclotomic):
-            a, b = self._align(other)
-            return a.terms == b.terms and a.den == b.den
+            n, m = self.conductor, other.conductor
+            if n == m or self.is_rational() or other.is_rational():
+                # one stored form per value and conductor, and a rational
+                # value's is the same at every conductor
+                return self.terms == other.terms and self.den == other.den
+            # self - other at the lcm, over the product of the denominators
+            big = math.lcm(n, m)
+            a, b = big // n, big // m
+            da, db = self.den, other.den
+            diff = [(i * a, c * db) for i, c in self.terms]
+            diff += [(j * b, -c * da) for j, c in other.terms]
+            return not any(_reduced(big, diff).values())
         if isinstance(other, (int, Fraction)):
             return self.is_rational() and self.rational_value() == other
         return NotImplemented

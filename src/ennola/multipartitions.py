@@ -11,10 +11,10 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cache
 from typing import NamedTuple
 
+from ._record import Record, _set
 from .orbits import OrbitId, enumerate_orbits, level_order
 from .partitions import (
     Partition,
@@ -36,8 +36,7 @@ def unitary_group_order(q: int, n: int) -> int:
     return q ** (n * (n - 1) // 2) * math.prod(level_order(q, i) for i in range(1, n + 1))
 
 
-@dataclass(frozen=True)
-class MultiPartition:
+class MultiPartition(Record):
     """Finite map from orbits to nonempty partitions, canonically sorted.
 
     The hash is the hash of the three fields, computed once at construction:
@@ -46,18 +45,24 @@ class MultiPartition:
     loading computes the hash afresh.
     """
 
+    _fields = ("kind", "q", "assignment")
+    __slots__ = (*_fields, "_hash")
     kind: str
     q: int
     assignment: tuple[tuple[OrbitId, Partition], ...]
 
-    def __post_init__(self) -> None:
-        items = self.assignment
-        if isinstance(items, dict):
-            items = tuple(items.items())
+    def __init__(
+        self,
+        kind: str,
+        q: int,
+        assignment: tuple[tuple[OrbitId, Partition], ...] | dict[OrbitId, Partition],
+    ) -> None:
+        if isinstance(assignment, dict):
+            assignment = tuple(assignment.items())
         blocks = []
-        for orb, lam in items:
+        for orb, lam in assignment:
             lam = tuple(lam)
-            if orb.kind != self.kind or orb.q != self.q:
+            if orb.kind != kind or orb.q != q:
                 raise ValueError("orbit kind or q does not match the multipartition")
             if not lam or not is_partition(lam):
                 raise ValueError(f"invalid block partition {lam!r}")
@@ -65,8 +70,21 @@ class MultiPartition:
         blocks.sort(key=lambda b: (b[0].size, b[0].residue))
         if len({orb for orb, _ in blocks}) != len(blocks):
             raise ValueError("repeated orbit in assignment")
-        object.__setattr__(self, "assignment", tuple(blocks))
-        object.__setattr__(self, "_hash", hash((self.kind, self.q, self.assignment)))
+        assignment = tuple(blocks)
+        _set(self, "kind", kind)
+        _set(self, "q", q)
+        _set(self, "assignment", assignment)
+        _set(self, "_hash", hash((kind, q, assignment)))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not MultiPartition:
+            return NotImplemented
+        return (
+            self._hash == other._hash
+            and self.assignment == other.assignment
+            and self.q == other.q
+            and self.kind == other.kind
+        )
 
     def __hash__(self) -> int:
         return self._hash
@@ -224,14 +242,22 @@ def class_size(mu: MultiPartition) -> int:
     return order // a
 
 
-@dataclass(frozen=True)
-class TorusLabel:
+class TorusLabel(Record):
     """Conjugacy datum in the relative Weyl group with its torus factors."""
 
+    __slots__ = _fields = ("gamma", "factors", "z", "weyl_class_size")
     gamma: MultiPartition
     factors: tuple[int, ...]
     z: int
     weyl_class_size: int
+
+    def __init__(
+        self, gamma: MultiPartition, factors: tuple[int, ...], z: int, weyl_class_size: int
+    ) -> None:
+        _set(self, "gamma", gamma)
+        _set(self, "factors", factors)
+        _set(self, "z", z)
+        _set(self, "weyl_class_size", weyl_class_size)
 
 
 class TorusData(NamedTuple):

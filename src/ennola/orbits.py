@@ -8,9 +8,9 @@ field arithmetic is needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
+from ._record import Record, _set
 from .exactnum import Cyclotomic, _mobius, _reduced
 
 
@@ -27,19 +27,30 @@ def _divisors(m: int) -> tuple[int, ...]:
     return tuple(d for d in range(1, m + 1) if m % d == 0)
 
 
-@dataclass(frozen=True)
-class CyclicElt:
+class CyclicElt(Record):
     """Element of the level-m group: residue k mod N_m, Frobenius acts by -q."""
 
+    __slots__ = _fields = ("q", "level", "residue")
     q: int
     level: int
     residue: int
 
-    def __post_init__(self) -> None:
-        if self.level < 1:
+    def __init__(self, q: int, level: int, residue: int) -> None:
+        if level < 1:
             raise ValueError("level must be positive")
-        n = level_order(self.q, self.level)
-        object.__setattr__(self, "residue", self.residue % n)
+        _set(self, "q", q)
+        _set(self, "level", level)
+        _set(self, "residue", residue % level_order(q, level))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not CyclicElt:
+            return NotImplemented
+        return (
+            self.q == other.q and self.level == other.level and self.residue == other.residue
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.q, self.level, self.residue))
 
     def embed(self, m: int) -> CyclicElt:
         """Image at a higher compatible level, residue k -> k * N_m / N_r."""
@@ -69,30 +80,47 @@ def _is_primitive(q: int, m: int, k: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class OrbitId:
+class OrbitId(Record):
     """Frobenius orbit of characters (kind theta) or of points (kind phi).
 
     The residue is the minimal element of the orbit at its primitive level,
     and the level equals the orbit size.
     """
 
+    __slots__ = _fields = ("kind", "q", "size", "residue")
     kind: str
     q: int
     size: int
     residue: int
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("theta", "phi"):
-            raise ValueError(f"unknown orbit kind {self.kind!r}")
-        n = level_order(self.q, self.size)
-        if not 0 <= self.residue < n:
+    def __init__(self, kind: str, q: int, size: int, residue: int) -> None:
+        if kind not in ("theta", "phi"):
+            raise ValueError(f"unknown orbit kind {kind!r}")
+        n = level_order(q, size)
+        if not 0 <= residue < n:
             raise ValueError("residue out of range")
-        if not _is_primitive(self.q, self.size, self.residue):
+        if not _is_primitive(q, size, residue):
             raise ValueError("residue is not primitive at this level")
-        traj = _orbit_residues(self.q, self.size, self.residue)
-        if len(traj) != self.size or min(traj) != self.residue:
+        traj = _orbit_residues(q, size, residue)
+        if len(traj) != size or min(traj) != residue:
             raise ValueError("residue is not the canonical orbit representative")
+        _set(self, "kind", kind)
+        _set(self, "q", q)
+        _set(self, "size", size)
+        _set(self, "residue", residue)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not OrbitId:
+            return NotImplemented
+        return (
+            self.residue == other.residue
+            and self.size == other.size
+            and self.q == other.q
+            and self.kind == other.kind
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.q, self.size, self.residue))
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "q": self.q, "size": self.size, "residue": self.residue}

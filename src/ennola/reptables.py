@@ -22,10 +22,10 @@ count of their conjugates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
+from ._record import Record, _set
 from .charmap import CharLabel, SymElement, circ_product, to_basis
 from .exactnum import Cyclotomic, QPoly, cyclotomic_polynomial
 from .multipartitions import MultiPartition, enumerate_mp, mp_conjugate, mp_size, mp_stats
@@ -128,16 +128,34 @@ def degree_hook(lam: CharLabel | MultiPartition) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class DegreeRecord:
+class DegreeRecord(Record):
     """Degree data of one irreducible character."""
 
+    __slots__ = _fields = (
+        "label", "polynomial", "degree", "tau_parity", "height", "odd_conjugate"
+    )
     label: CharLabel
     polynomial: QPoly
     degree: int
     tau_parity: int
     height: int
     odd_conjugate: int
+
+    def __init__(
+        self,
+        label: CharLabel,
+        polynomial: QPoly,
+        degree: int,
+        tau_parity: int,
+        height: int,
+        odd_conjugate: int,
+    ) -> None:
+        _set(self, "label", label)
+        _set(self, "polynomial", polynomial)
+        _set(self, "degree", degree)
+        _set(self, "tau_parity", tau_parity)
+        _set(self, "height", height)
+        _set(self, "odd_conjugate", odd_conjugate)
 
     def to_row(self) -> list:
         return [
@@ -300,13 +318,20 @@ def sp_induction(r: int, q: int, allow_even_q: bool = False) -> SymElement:
     return SymElement(q, 2 * r, "s_theta", coeffs)
 
 
-@dataclass(frozen=True)
-class ModelDecomposition:
+class ModelDecomposition(Record):
     """The model: one induced piece per r, tiling all labels exactly once."""
 
+    __slots__ = _fields = ("m", "q", "parts")
     m: int
     q: int
     parts: tuple[tuple[int, tuple[CharLabel, ...]], ...]
+
+    def __init__(
+        self, m: int, q: int, parts: tuple[tuple[int, tuple[CharLabel, ...]], ...]
+    ) -> None:
+        _set(self, "m", m)
+        _set(self, "q", q)
+        _set(self, "parts", parts)
 
     def to_json(self) -> dict:
         return {

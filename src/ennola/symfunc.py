@@ -11,10 +11,10 @@ Conventions:
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 from fractions import Fraction
 
+from ._record import Record, _set
 from .exactnum import QPoly
 from .partitions import Partition, dominates, n_stat, partitions_of, z_stat
 
@@ -36,25 +36,29 @@ def _as_qpoly(c: QPoly | Fraction | int) -> QPoly:
     return c if isinstance(c, QPoly) else QPoly({0: c})
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
-class SymFn1:
+class SymFn1(Record):
     """Homogeneous symmetric function: basis tag, degree, and a sparse coefficient map."""
 
+    __slots__ = _fields = ("degree", "basis", "coeffs")
     degree: int
     basis: str
     coeffs: dict[Partition, QPoly]
 
-    def __post_init__(self):
-        if self.basis not in ("p", "s", "hl"):
-            raise ValueError(f"unknown basis {self.basis!r}")
+    def __init__(
+        self, degree: int, basis: str, coeffs: dict[Partition, QPoly | Fraction | int]
+    ) -> None:
+        if basis not in ("p", "s", "hl"):
+            raise ValueError(f"unknown basis {basis!r}")
         clean = {}
-        for lam, c in self.coeffs.items():
-            if sum(lam) != self.degree:
-                raise ValueError(f"{lam} does not have size {self.degree}")
+        for lam, c in coeffs.items():
+            if sum(lam) != degree:
+                raise ValueError(f"{lam} does not have size {degree}")
             c = _as_qpoly(c)
             if c:
                 clean[lam] = c
-        object.__setattr__(self, "coeffs", clean)
+        _set(self, "degree", degree)
+        _set(self, "basis", basis)
+        _set(self, "coeffs", clean)
 
     def __add__(self, other: SymFn1) -> SymFn1:
         if (self.degree, self.basis) != (other.degree, other.basis):

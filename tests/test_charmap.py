@@ -748,6 +748,31 @@ def test_power_theta_to_P_lifts_nothing(monkeypatch) -> None:
     assert calls == []
 
 
+def test_star_equals_circ_over_the_product_pairs_lifts_nothing(monkeypatch) -> None:
+    # star and circ write their results at different conductors, and
+    # SymElement equality compares the coefficients there, without lifting
+    calls = []
+    real = Cyclotomic.lift
+
+    def counted(self, m):
+        calls.append(m)
+        return real(self, m)
+
+    monkeypatch.setattr(Cyclotomic, "lift", counted)
+    pairs = [
+        (ma, mb)
+        for na in range(1, 4)
+        for nb in range(1, 5 - na)
+        for ma in enumerate_mp(2, "phi", na)
+        for mb in enumerate_mp(2, "phi", nb)
+    ]
+    assert len(pairs) == 288
+    for ma, mb in pairs:
+        a, b = pi_class(ma), pi_class(mb)
+        assert star_product(a, b) == circ_product(a, b)
+    assert calls == []
+
+
 def test_P_to_power_theta_keys_are_shared() -> None:
     from ennola.charmap import _P_to_power_theta_items
 

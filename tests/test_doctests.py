@@ -1,4 +1,5 @@
 import doctest
+from pathlib import Path
 
 import pytest
 
@@ -29,3 +30,9 @@ MODULES = [
 def test_doctests(module):
     result = doctest.testmod(module)
     assert result.failed == 0
+
+
+def test_readme_quick_start():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    result = doctest.testfile(str(readme), module_relative=False)
+    assert result.attempted > 0 and result.failed == 0

@@ -194,6 +194,41 @@ def test_hash_follows_equality_across_conductors():
     assert len({z3, Cyclotomic.root(12, 4), z3 * z3 * z3, Cyclotomic.from_rational(1, 4)}) == 2
 
 
+def test_equality_across_conductors_builds_no_lift(monkeypatch):
+    calls = []
+    real = Cyclotomic.lift
+
+    def counted(self, m):
+        calls.append(m)
+        return real(self, m)
+
+    monkeypatch.setattr(Cyclotomic, "lift", counted)
+    # sqrt(-3)/3 = (1 + 2 zeta_3)/3, and zeta_3 = zeta_12^4 = zeta_12^2 - 1 at 12
+    at3 = Cyclotomic(3, {0: 1, 1: 2}, 3)
+    at12 = Cyclotomic(12, {0: -1, 2: 2}, 3)
+    assert at3 == at12 and at12 == at3
+    assert at3 != Cyclotomic(12, {0: -1, 2: 2}, 6)
+    assert at3 != Cyclotomic(12, {0: -2, 2: 4}, 3)
+    assert at3 != Cyclotomic(12, {0: 1, 2: 2}, 3)
+    # (2 + 2 zeta_3)/3 lifts to the coordinates {2: 2} at 12, which share
+    # the factor 2 with the other side's denominator 4 in the unequal case
+    two_thirds = Cyclotomic(3, {0: 2, 1: 2}, 3)
+    assert two_thirds == Cyclotomic(12, {2: 2}, 3)
+    assert two_thirds != Cyclotomic(12, {2: 1}, 4)
+    assert two_thirds * Fraction(3, 8) == Cyclotomic(12, {2: 1}, 4)
+    # zeta_3 / 2 against zeta_4 / 2 and against -zeta_12^4 / 2
+    z3, z4 = Cyclotomic.root(3), Cyclotomic.root(4)
+    assert z3 * Fraction(1, 2) != z4 * Fraction(1, 2)
+    assert z3 * Fraction(1, 2) != Cyclotomic.root(12, 4) * Fraction(-1, 2)
+    assert z3 * Fraction(1, 2) == Cyclotomic.root(36, 12) * Fraction(1, 2)
+    # a rational value compares by its stored form at any conductor
+    assert Cyclotomic.from_rational(Fraction(5, 6), 4) == Cyclotomic.from_rational(Fraction(5, 6), 9)
+    assert Cyclotomic.from_rational(Fraction(5, 6), 4) != Cyclotomic.from_rational(Fraction(5, 3), 9)
+    assert Cyclotomic.from_rational(-1, 4) != z3 and z3 != Cyclotomic.from_rational(-1, 4)
+    assert Cyclotomic.zero(3) == Cyclotomic.zero(4) != z4
+    assert calls == []
+
+
 def test_rational_detection_and_json():
     z5 = Cyclotomic.root(5)
     v = z5 + z5**2 + z5**3 + z5**4
@@ -248,6 +283,16 @@ def test_equal_values_hash_alike_across_conductors(a, c):
     assert a == b and hash(a) == hash(b)
     if a == c:
         assert hash(a) == hash(c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cyclotomics(), cyclotomics(), st.sampled_from((1, 2, 3, 5)))
+def test_equality_agrees_with_the_common_lift(a, b, step):
+    m = math.lcm(a.conductor, b.conductor) * step
+    assert (a == b) == (_parts(a.lift(m)) == _parts(b.lift(m)))
+    assert (b.lift(m) == a) == (a == b)
+    lifted = a.lift(a.conductor * step)
+    assert a == lifted and lifted == a
 
 
 @settings(max_examples=30, deadline=None)

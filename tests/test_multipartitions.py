@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import os
 import random
@@ -55,7 +54,11 @@ def test_cached_hash_agrees_with_equality():
     assert from_dict == from_tuple
     assert hash(from_dict) == hash(from_tuple)
     assert {from_dict: 1}[from_tuple] == 1
-    assert [f.name for f in dataclasses.fields(MultiPartition)] == ["kind", "q", "assignment"]
+    # the positional field order is kind, q, assignment, in the constructor and in __reduce__
+    cls, args = from_dict.__reduce__()
+    assert cls is MultiPartition
+    assert args == (from_dict.kind, from_dict.q, from_dict.assignment)
+    assert MultiPartition(*args) == MultiPartition(kind="phi", q=2, assignment=args[2]) == from_dict
 
 
 _PICKLE_SCRIPT = """
