@@ -502,18 +502,22 @@ def expand_schur(label: CharLabel | MultiPartition) -> SymElement:
     return to_basis(schur(lam), "P")
 
 
-def _row_cols(label: CharLabel) -> tuple[dict[int, dict[int, int]], int]:
+def _row_cols(
+    label: CharLabel, transition=_power_theta_to_P_cols
+) -> tuple[dict[int, dict[int, int]], int]:
     """One table row keyed by column index: sign(label) times the sum over
     torus labels gamma of (chi(gamma)/z_gamma) T(gamma), summed per column as
     integer coordinates at the column's conductor, over the returned
-    denominator."""
+    denominator. ``transition(gamma)`` gives T(gamma); by default it is read
+    from the cache of T, and ``char_table`` passes rows it holds for one
+    support at a time."""
     items = _schur_items(label.lam)
     den = math.lcm(*(c.denominator for _, c in items))
     sign = label.sign()
     acc: dict[int, dict[int, int]] = {}
     for gamma, c in items:
         f = sign * c.numerator * (den // c.denominator)
-        for col, terms in _power_theta_to_P_cols(gamma):
+        for col, terms in transition(gamma):
             out = acc.setdefault(col, {})
             for i, x in terms:
                 out[i] = out.get(i, 0) + f * x
@@ -586,8 +590,9 @@ class CharTable(Record):
 
     Each entry is stored at its column's conductor e_mu, the lcm of the
     orders of the class's point orbits, and equal entries are one shared
-    object. One row per Galois orbit of labels is computed; the others are
-    its images under sigma_a (see ``char_table``). ``rendered`` writes every
+    object. One row per Galois orbit of labels is computed from T, held for
+    one support of labels at a time; the others are its images under
+    sigma_a (see ``char_table``). ``rendered`` writes every
     entry at the common conductor N of degree n, as all output does.
     """
 
@@ -645,8 +650,12 @@ def char_table(n: int, q: int) -> CharTable:
     are the ``enumerate_mp`` objects. Rows are built once per Galois orbit:
     the first row of each orbit is summed per column index from T at the
     column conductors e_mu, so T is built only for the torus labels those
-    rows use, and every other row, of a label lam^a, is filled as sigma_a of
-    its representative's entries, zeta_e^i -> zeta_e^(i a) at each e_mu.
+    rows use. These representative rows are built grouped by support, a
+    label's orbits and block sizes, which its torus labels share: T is built
+    once per torus label, held only while its support's rows are summed, and
+    never enters the cache of T. Every other row, of a label lam^a, is then
+    filled in table order as sigma_a of its representative's entries,
+    zeta_e^i -> zeta_e^(i a) at each e_mu.
     ``character_row`` stays the direct route for any single row. Entries are
     stored at e_mu, not at the common conductor N, and equal entries are one
     shared object: a table holds few distinct values, so each entry's integer
@@ -673,16 +682,39 @@ def char_table(n: int, q: int) -> CharTable:
             seen[raw] = v
         return v
 
+    # a row sums T only over torus labels of its own support, and the
+    # supports split the torus labels, so T is held for one support at a time
+    plan = _row_orbits(q, n)
+    supports: dict[tuple, list[int]] = {}
+    for i, (rep, _) in enumerate(plan):
+        if rep == i:
+            key = tuple((orb.size, orb.residue, sum(bl)) for orb, bl in rows[i].lam.assignment)
+            supports.setdefault(key, []).append(i)
+    build = _power_theta_to_P_cols.__wrapped__
+    held: dict[MultiPartition, tuple] = {}
+
+    def transition(gamma: MultiPartition) -> tuple:
+        t = held.get(gamma)
+        if t is None:
+            t = held[gamma] = build(gamma)
+        return t
+
+    built: dict[int, list[Cyclotomic]] = {}
+    for group in supports.values():
+        held.clear()
+        for i in group:
+            acc, den = _row_cols(rows[i], transition)
+            built[i] = [entry(e, acc.get(k, {}), den) for k, e in enumerate(conductors)]
+    held.clear()
     # sigma_a fixes rational entries, so only a representative's irrational
     # columns change along its orbit; sigma_b of each interned entry, b the
     # unit a mod e, is computed once
     irrational: dict[int, list[int]] = {}
     images: dict[tuple[int, int], Cyclotomic] = {}
     values: list[tuple[Cyclotomic, ...]] = []
-    for i, (rep, a) in enumerate(_row_orbits(q, n)):
+    for i, (rep, a) in enumerate(plan):
         if rep == i:
-            acc, den = _row_cols(rows[i])
-            row = [entry(e, acc.get(k, {}), den) for k, e in enumerate(conductors)]
+            row = built.pop(i)
             irrational[i] = [k for k, v in enumerate(row) if not v.is_rational()]
         else:
             row = list(values[rep])

@@ -8,8 +8,10 @@ hand evaluations of Hall and Green polynomials.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
+import weakref
 from fractions import Fraction
 from functools import cache
 
@@ -596,14 +598,69 @@ def test_galois_label_is_an_action_on_the_labels(q: int, n: int) -> None:
             assert _galois_label(_galois_label(lam, a), b) is _galois_label(lam, a * b % big)
 
 
-def test_char_table_builds_T_only_for_representative_rows(fresh_transition_caches) -> None:
+class _WeakRow(list):
+    # a row of T that can be weakly referenced, which a tuple cannot
+    pass
+
+
+def _counted_T_builds(monkeypatch, n: int, q: int) -> list:
+    # the torus labels char_table(n, q) builds T for, in build order, counted
+    # at the uncached builder, each with the labels whose rows of T are still
+    # alive when it is built
     import ennola.charmap as cm
 
-    char_table(4, 3)
+    build = cm._power_theta_to_P_cols.__wrapped__
+    built, refs = [], []
+
+    def counting(gamma):
+        built.append((gamma, [g for g, ref in refs if ref() is not None]))
+        row = _WeakRow(build(gamma))
+        refs.append((gamma, weakref.ref(row)))
+        return row
+
+    monkeypatch.setattr(cm._power_theta_to_P_cols, "__wrapped__", counting)
+    char_table(n, q)
+    return built
+
+
+def test_char_table_builds_T_only_for_representative_rows(
+    monkeypatch, fresh_transition_caches
+) -> None:
+    import ennola.charmap as cm
+
+    built = [gamma for gamma, _ in _counted_T_builds(monkeypatch, 4, 3)]
     reps = [i for i, (rep, _) in enumerate(cm._row_orbits(3, 4)) if rep == i]
     used = {gamma for i in reps for gamma, _ in cm._schur_items(enumerate_mp(3, "theta", 4)[i])}
     assert len(reps) == 99
-    assert cm._power_theta_to_P_cols.cache_info().currsize == len(used) == 100
+    assert len(built) == len(set(built)) == len(used) == 100
+    assert set(built) == used
+    # the rows of T were held by the build alone, never by the cache
+    assert cm._power_theta_to_P_cols.cache_info().currsize == 0
+
+
+def test_char_table_leaves_the_T_cache_as_it_found_it(fresh_transition_caches) -> None:
+    import ennola.charmap as cm
+
+    gamma = enumerate_mp(2, "theta", 4)[3]
+    cm._power_theta_to_P_cols(gamma)
+    char_table(4, 2)
+    info = cm._power_theta_to_P_cols.cache_info()
+    assert (info.currsize, info.hits, info.misses) == (1, 0, 1)
+
+
+@pytest.mark.parametrize("n, q", [(4, 3), (5, 2)])
+def test_T_builds_come_grouped_by_support(monkeypatch, n: int, q: int) -> None:
+    # a support, a label's orbits and block sizes, is shared by the torus
+    # labels of its Schur expansion; once the build leaves a support it never
+    # returns, and the rows of T alive at each build are those of its support
+    def support(gamma):
+        return tuple((orb.size, orb.residue, sum(bl)) for orb, bl in gamma.assignment)
+
+    built = _counted_T_builds(monkeypatch, n, q)
+    runs = [s for s, _ in itertools.groupby(support(gamma) for gamma, _ in built)]
+    assert len(runs) == len(set(runs)) > 1
+    for gamma, alive in built:
+        assert all(support(g) == support(gamma) for g in alive)
 
 
 def test_filling_by_the_inverse_unit_fails_the_direct_rows(monkeypatch) -> None:
