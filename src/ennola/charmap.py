@@ -235,6 +235,19 @@ def _class_conductor(q: int, orbits) -> int:
     return math.lcm(*(level_order(q, d) // math.gcd(k, level_order(q, d)) for d, k in orbits))
 
 
+def _interned(
+    table: dict[tuple, Cyclotomic], e: int, coords: dict[int, int], den: int
+) -> Cyclotomic:
+    """The one ``Cyclotomic`` in ``table`` whose value is the coordinates over
+    den at conductor e, keyed by its stored form (conductor, terms, den) and
+    built on first sight."""
+    form = (e, *_stored_form(coords, den))
+    v = table.get(form)
+    if v is None:
+        v = table[form] = Cyclotomic(e, dict(form[1]), form[2])
+    return v
+
+
 @cache
 def _columns(q: int, n: int) -> tuple[tuple[MultiPartition, ...], dict, tuple[int, ...]]:
     """The classes of degree n in table order, their column indices, and
@@ -264,11 +277,11 @@ def _green_cols(q: int, key: tuple) -> tuple[int, tuple[tuple[int, int], ...]]:
     return e, green
 
 
-@cache
-def _power_theta_to_P_cols(gamma: MultiPartition) -> tuple[tuple[int, tuple], ...]:
-    """T, the p_theta to P transition: one character-orbit power sum in the
-    Hall-Littlewood basis, as (column index, terms) pairs, each entry's terms
-    its nonzero power-basis coordinates at the column's conductor e_mu.
+def _build_T(gamma: MultiPartition) -> tuple[tuple[int, tuple], ...]:
+    """T, the p_theta to P transition, built afresh: one character-orbit
+    power sum in the Hall-Littlewood basis, as (column index, terms) pairs,
+    each entry's terms its nonzero power-basis coordinates at the column's
+    conductor e_mu.
 
     Each part passes through the variable-change transform, whose
     coefficients stay unreduced integer counts of roots of unity, lifted to
@@ -305,6 +318,25 @@ def _power_theta_to_P_cols(gamma: MultiPartition) -> tuple[tuple[int, tuple], ..
     return tuple((col, terms) for col, terms in entries if terms)
 
 
+# T and its transpose repeat few values, so their caches hold each distinct
+# value once; like the caches, these tables live as long as the process.
+# _T_TERMS maps an entry's terms to the one tuple the cache of T stores,
+# _TRANSPOSED maps (e_mu, T's terms, a_mu z_gamma) to the transposed value,
+# and _TRANSPOSED_VALUES maps a stored form (conductor, terms, den) to the one
+# Cyclotomic the transpose stores.
+_T_TERMS: dict[tuple, tuple] = {}
+_TRANSPOSED: dict[tuple, Cyclotomic] = {}
+_TRANSPOSED_VALUES: dict[tuple, Cyclotomic] = {}
+
+
+@cache
+def _power_theta_to_P_cols(gamma: MultiPartition) -> tuple[tuple[int, tuple], ...]:
+    """The cache of T: ``_build_T``, with each distinct entry's terms one
+    tuple across all rows."""
+    intern = _T_TERMS.setdefault
+    return tuple((col, intern(terms, terms)) for col, terms in _build_T(gamma))
+
+
 def _power_theta_to_P_items(gamma: MultiPartition) -> tuple[tuple[MultiPartition, tuple], ...]:
     """Expand a character-orbit power sum in the Hall-Littlewood basis: the
     entries of T as stored in ``_power_theta_to_P_cols``, each one a
@@ -325,6 +357,8 @@ def _P_to_power_theta_items(mu: MultiPartition) -> tuple[tuple[MultiPartition, C
     over gamma's blocks. So the coefficient of p_gamma in P_mu is
     conj(T[gamma, mu]) / (a_mu z_gamma): each torus label's entry of T at
     mu's column, conjugated, scaled and stored at the column conductor e_mu.
+    Each distinct (e_mu, terms, a_mu z_gamma) is conjugated once, and equal
+    values are one shared object.
     """
     q, n = mu.q, mp_size(mu)
     _, index, conductors = _columns(q, n)
@@ -335,8 +369,12 @@ def _P_to_power_theta_items(mu: MultiPartition) -> tuple[tuple[MultiPartition, C
         row = _power_theta_to_P_cols(gamma)
         i = bisect_left(row, (k,))
         if i < len(row) and row[i][0] == k:
-            z = math.prod(z_stat(lam) for _, lam in gamma.assignment)
-            v = Cyclotomic(e, _reduced(e, ((-j % e, x) for j, x in row[i][1])), a * z)
+            terms = row[i][1]
+            key = (e, terms, a * math.prod(z_stat(lam) for _, lam in gamma.assignment))
+            v = _TRANSPOSED.get(key)
+            if v is None:
+                coords = _reduced(e, ((-j % e, x) for j, x in terms))
+                v = _TRANSPOSED[key] = _interned(_TRANSPOSED_VALUES, e, coords, key[2])
             out.append((gamma, v))
     return tuple(out)
 
@@ -652,10 +690,10 @@ def char_table(n: int, q: int) -> CharTable:
     column conductors e_mu, so T is built only for the torus labels those
     rows use. These representative rows are built grouped by support, a
     label's orbits and block sizes, which its torus labels share: T is built
-    once per torus label, held only while its support's rows are summed, and
-    never enters the cache of T. Every other row, of a label lam^a, is then
-    filled in table order as sigma_a of its representative's entries,
-    zeta_e^i -> zeta_e^(i a) at each e_mu.
+    once per torus label by ``_build_T``, held only while its support's rows
+    are summed, and never enters the cache of T or its interned terms. Every
+    other row, of a label lam^a, is then filled in table order as sigma_a of
+    its representative's entries, zeta_e^i -> zeta_e^(i a) at each e_mu.
     ``character_row`` stays the direct route for any single row. Entries are
     stored at e_mu, not at the common conductor N, and equal entries are one
     shared object: a table holds few distinct values, so each entry's integer
@@ -675,11 +713,7 @@ def char_table(n: int, q: int) -> CharTable:
         raw = (e, den, *coords.items())
         v = seen.get(raw)
         if v is None:
-            form = (e, *_stored_form(coords, den))
-            v = interned.get(form)
-            if v is None:
-                v = interned[form] = Cyclotomic(e, dict(form[1]), form[2])
-            seen[raw] = v
+            v = seen[raw] = _interned(interned, e, coords, den)
         return v
 
     # a row sums T only over torus labels of its own support, and the
@@ -690,13 +724,12 @@ def char_table(n: int, q: int) -> CharTable:
         if rep == i:
             key = tuple((orb.size, orb.residue, sum(bl)) for orb, bl in rows[i].lam.assignment)
             supports.setdefault(key, []).append(i)
-    build = _power_theta_to_P_cols.__wrapped__
     held: dict[MultiPartition, tuple] = {}
 
     def transition(gamma: MultiPartition) -> tuple:
         t = held.get(gamma)
         if t is None:
-            t = held[gamma] = build(gamma)
+            t = held[gamma] = _build_T(gamma)
         return t
 
     built: dict[int, list[Cyclotomic]] = {}

@@ -499,11 +499,16 @@ def fresh_transition_caches():
     import ennola.charmap as cm
 
     caches = (cm._columns, cm._green_cols, cm._power_theta_to_P_cols, cm._P_to_power_theta_items)
+    tables = (cm._T_TERMS, cm._TRANSPOSED, cm._TRANSPOSED_VALUES)
     for fn in caches:
         fn.cache_clear()
+    for table in tables:
+        table.clear()
     yield
     for fn in caches:
         fn.cache_clear()
+    for table in tables:
+        table.clear()
 
 
 def test_a_wrong_column_conductor_fails_the_exact_division(monkeypatch, fresh_transition_caches):
@@ -609,7 +614,7 @@ def _counted_T_builds(monkeypatch, n: int, q: int) -> list:
     # alive when it is built
     import ennola.charmap as cm
 
-    build = cm._power_theta_to_P_cols.__wrapped__
+    build = cm._build_T
     built, refs = [], []
 
     def counting(gamma):
@@ -618,7 +623,7 @@ def _counted_T_builds(monkeypatch, n: int, q: int) -> list:
         refs.append((gamma, weakref.ref(row)))
         return row
 
-    monkeypatch.setattr(cm._power_theta_to_P_cols, "__wrapped__", counting)
+    monkeypatch.setattr(cm, "_build_T", counting)
     char_table(n, q)
     return built
 
@@ -639,13 +644,30 @@ def test_char_table_builds_T_only_for_representative_rows(
 
 
 def test_char_table_leaves_the_T_cache_as_it_found_it(fresh_transition_caches) -> None:
+    # neither the cache of T nor the tables that intern the values of T and
+    # its transpose take anything from the table build
     import ennola.charmap as cm
 
     gamma = enumerate_mp(2, "theta", 4)[3]
     cm._power_theta_to_P_cols(gamma)
+    tables = (cm._T_TERMS, cm._TRANSPOSED, cm._TRANSPOSED_VALUES)
+
+    def contents() -> list:
+        return [[(key, id(v)) for key, v in table.items()] for table in tables]
+
+    found = contents()
+    assert found[0]
     char_table(4, 2)
     info = cm._power_theta_to_P_cols.cache_info()
     assert (info.currsize, info.hits, info.misses) == (1, 0, 1)
+    assert contents() == found
+    # and likewise once the transpose has filled its tables
+    cm._P_to_power_theta_items(identity_class(2, 3))
+    info, found = cm._power_theta_to_P_cols.cache_info(), contents()
+    assert all(found)
+    char_table(4, 2)
+    assert cm._power_theta_to_P_cols.cache_info() == info
+    assert contents() == found
 
 
 @pytest.mark.parametrize("n, q", [(4, 3), (5, 2)])
@@ -837,6 +859,33 @@ def test_P_to_power_theta_keys_are_shared() -> None:
     for mu in enumerate_mp(2, "phi", 3):
         for g, _ in _P_to_power_theta_items(mu):
             assert seen.setdefault(g, g) is g
+
+
+def test_transition_caches_hold_each_distinct_value_once(fresh_transition_caches) -> None:
+    # T and its transpose repeat few values: after every class of degree at
+    # most 4 at q=2 is converted, each value is one object in its cache, and
+    # each transposed value is still stored at its column's conductor e_mu
+    from ennola.charmap import _P_to_power_theta_items, _power_theta_to_P_cols
+
+    classes = [mu for n in range(1, 5) for mu in enumerate_mp(2, "phi", n)]
+    for mu in classes:
+        assert to_basis(pi_class(mu), "p_theta").coeffs
+    terms: dict[tuple, tuple] = {}
+    entries = 0
+    for n in range(1, 5):
+        for gamma in enumerate_mp(2, "theta", n):
+            for _, t in _power_theta_to_P_cols(gamma):
+                assert terms.setdefault(t, t) is t
+                entries += 1
+    values: dict[tuple, Cyclotomic] = {}
+    transposed = 0
+    for mu in classes:
+        e = math.lcm(*(_orbit_order(orb) for orb in mu.orbits()))
+        for _, v in _P_to_power_theta_items(mu):
+            assert v.conductor == e
+            assert values.setdefault((v.conductor, v.terms, v.den), v) is v
+            transposed += 1
+    assert (entries, len(terms), transposed, len(values)) == (2971, 121, 2971, 312)
 
 
 @pytest.mark.parametrize("n, q", [(3, 3), (4, 2)])
