@@ -277,11 +277,11 @@ def _green_cols(q: int, key: tuple) -> tuple[int, tuple[tuple[int, int], ...]]:
     return e, green
 
 
-def _build_T(gamma: MultiPartition) -> tuple[tuple[int, tuple], ...]:
-    """T, the p_theta to P transition, built afresh: one character-orbit
-    power sum in the Hall-Littlewood basis, as (column index, terms) pairs,
-    each entry's terms its nonzero power-basis coordinates at the column's
-    conductor e_mu.
+def _build_T(gamma: MultiPartition, cols) -> tuple[tuple[int, tuple], ...]:
+    """T, the p_theta to P transition, built afresh on the column indices in
+    ``cols``: one character-orbit power sum in the Hall-Littlewood basis, as
+    (column index, terms) pairs, each entry's terms its nonzero power-basis
+    coordinates at the column's conductor e_mu.
 
     Each part passes through the variable-change transform, whose
     coefficients stay unreduced integer counts of roots of unity, lifted to
@@ -290,8 +290,9 @@ def _build_T(gamma: MultiPartition) -> tuple[tuple[int, tuple], ...]:
     products per point-orbit multipartition nu as they form, so products only
     add exponents. Each nu's exponents are then divided by N/e_nu, which must
     be exact, reduced to the power basis at e_nu once, and spread over the
-    Green polynomial values of nu's row. Coefficients are algebraic integers,
-    so each has denominator 1.
+    Green polynomial values of nu's row, dropping the columns not in
+    ``cols`` first; a nu none of whose columns is left is skipped before any
+    of this. Coefficients are algebraic integers, so each has denominator 1.
     """
     q = gamma.q
     big = conductor(q, mp_size(gamma))
@@ -306,6 +307,9 @@ def _build_T(gamma: MultiPartition) -> tuple[tuple[int, tuple], ...]:
     acc: dict[int, dict[int, int]] = {}
     for key, vec in _multiply_blocks(big, blocks).items():
         e, green = _green_cols(q, key)
+        green = [t for t in green if t[0] in cols]
+        if not green:
+            continue
         div = big // e
         if any(i % div for i in vec):
             raise AssertionError(f"exponents at {key} do not divide down to conductor {e}")
@@ -331,10 +335,12 @@ _TRANSPOSED_VALUES: dict[tuple, Cyclotomic] = {}
 
 @cache
 def _power_theta_to_P_cols(gamma: MultiPartition) -> tuple[tuple[int, tuple], ...]:
-    """The cache of T: ``_build_T``, with each distinct entry's terms one
-    tuple across all rows."""
+    """The cache of T: ``_build_T`` on every column, since the transpose
+    reads all of T, with each distinct entry's terms one tuple across all
+    rows."""
     intern = _T_TERMS.setdefault
-    return tuple((col, intern(terms, terms)) for col, terms in _build_T(gamma))
+    every = range(len(_columns(gamma.q, mp_size(gamma))[0]))
+    return tuple((col, intern(terms, terms)) for col, terms in _build_T(gamma, every))
 
 
 def _power_theta_to_P_items(gamma: MultiPartition) -> tuple[tuple[MultiPartition, tuple], ...]:
@@ -566,24 +572,27 @@ def character_row(label: CharLabel | MultiPartition) -> SymElement:
     """The irreducible character of a label, as coefficients on class
     indicators, at the common conductor: sign(label) times its Schur
     element in the Hall-Littlewood basis, the direct route for any single
-    row, where ``char_table`` fills most rows by sigma_a."""
+    row, where ``char_table`` fills most entries by Galois action."""
     label = label if isinstance(label, CharLabel) else CharLabel(label)
     return SymElement(label.q, label.n, "pi", expand_schur(label).scale(label.sign()).coeffs)
 
 
 @cache
-def _galois_orbit(kind: str, q: int, size: int, residue: int, a: int) -> tuple[int, int]:
+def _galois_orbit(q: int, size: int, residue: int, a: int) -> tuple[int, int]:
     """(size, residue) of the orbit through residue * a at level size, for a
-    unit a mod N_size."""
-    orb = orbit_of(kind, CyclicElt(q, size, residue * a))
+    unit a mod N_size. Point and character orbits carry the same (size,
+    residue) labels, so one cache serves rows and columns."""
+    orb = orbit_of("phi", CyclicElt(q, size, residue * a))
     return orb.size, orb.residue
 
 
 def _galois_label(lam: MultiPartition, a: int) -> MultiPartition:
     """The label lam^a: every orbit residue multiplied by the unit a, each
     block moved to the canonical orbit through the product, which is cached
-    per (size, residue, a). The character of lam^a is sigma_a applied to
-    the character of lam, sigma_a the automorphism zeta -> zeta^a.
+    per (size, residue, a). The character of a label lam^a is sigma_a
+    applied to the character of lam, sigma_a the automorphism
+    zeta -> zeta^a, and so is any character's value at a class mu^a applied
+    to its value at mu.
 
     >>> x = OrbitId("theta", 2, 3, 1)
     >>> _galois_label(MultiPartition("theta", 2, ((x, (1,)),)), 2).orbits()[0].residue
@@ -591,27 +600,28 @@ def _galois_label(lam: MultiPartition, a: int) -> MultiPartition:
     """
     key = []
     for orb, part in lam.assignment:
-        size, residue = _galois_orbit(lam.kind, lam.q, orb.size, orb.residue, a)
+        size, residue = _galois_orbit(lam.q, orb.size, orb.residue, a)
         key += [(size, residue, p) for p in part]
     return mp_of_blocks(lam.kind, lam.q, tuple(sorted(key)))
 
 
-def _row_orbits(q: int, n: int) -> tuple[tuple[int, int], ...]:
-    """For each row of the degree-n table, in table order, the index of the
-    row it is filled from and a unit a mod N, N = ``conductor(q, n)``, such
-    that this row's label is that row's label to the a. The first row of
-    each Galois orbit is its representative, (its own index, 1); the rest of
-    the orbit is reached from it through generators of the units mod N."""
-    rows = enumerate_mp(q, "theta", n)
-    index = {lam: i for i, lam in enumerate(rows)}
+def _orbit_plan(q: int, kind: str, n: int) -> tuple[tuple[int, int], ...]:
+    """For each multipartition of ``enumerate_mp(q, kind, n)``, in table
+    order, the index of the one it is filled from and a unit b mod N,
+    N = ``conductor(q, n)``, such that this multipartition is that one to
+    the b: a row label for ``theta``, a column class for ``phi``. The first
+    of each Galois orbit is its representative, (its own index, 1); the rest
+    of the orbit is reached from it through generators of the units mod N."""
+    mps = enumerate_mp(q, kind, n)
+    index = {mp: i for i, mp in enumerate(mps)}
     big = conductor(q, n)
     gens = _unit_generators(big)
-    plan: list = [None] * len(rows)
-    for i, lam in enumerate(rows):
+    plan: list = [None] * len(mps)
+    for i, mp in enumerate(mps):
         if plan[i] is not None:
             continue
         plan[i] = (i, 1)
-        frontier = [(lam, 1)]
+        frontier = [(mp, 1)]
         while frontier:
             mu, a = frontier.pop()
             for g in gens:
@@ -619,7 +629,7 @@ def _row_orbits(q: int, n: int) -> tuple[tuple[int, int], ...]:
                 if plan[j] is None:
                     b = a * g % big
                     plan[j] = (i, b)
-                    frontier.append((rows[j], b))
+                    frontier.append((mps[j], b))
     return tuple(plan)
 
 
@@ -629,8 +639,9 @@ class CharTable(Record):
     Each entry is stored at its column's conductor e_mu, the lcm of the
     orders of the class's point orbits, and equal entries are one shared
     object. One row per Galois orbit of labels is computed from T, held for
-    one support of labels at a time; the others are its images under
-    sigma_a (see ``char_table``). ``rendered`` writes every
+    one support of labels at a time, at one column per Galois orbit of
+    classes; its other columns are images under sigma_b, and the other rows
+    its images under sigma_a (see ``char_table``). ``rendered`` writes every
     entry at the common conductor N of degree n, as all output does.
     """
 
@@ -685,20 +696,20 @@ def char_table(n: int, q: int) -> CharTable:
     """Character table of the rank-n unitary group over the q^2 field.
 
     Rows and columns follow the canonical multipartition order; the columns
-    are the ``enumerate_mp`` objects. Rows are built once per Galois orbit:
-    the first row of each orbit is summed per column index from T at the
-    column conductors e_mu, so T is built only for the torus labels those
-    rows use. These representative rows are built grouped by support, a
-    label's orbits and block sizes, which its torus labels share: T is built
-    once per torus label by ``_build_T``, held only while its support's rows
-    are summed, and never enters the cache of T or its interned terms. Every
-    other row, of a label lam^a, is then filled in table order as sigma_a of
-    its representative's entries, zeta_e^i -> zeta_e^(i a) at each e_mu.
+    are the ``enumerate_mp`` objects. Galois action moves both: for a unit
+    b, sigma_b(chi_lam(mu)) = chi_lam^b(mu) = chi_lam(mu^b), with sigma_b
+    zeta_e^i -> zeta_e^(i b) at each column conductor e_mu. So the first row
+    of each Galois orbit of labels is summed from T only at the first column
+    of each Galois orbit of classes (``_orbit_plan``), and T is built only for
+    the torus labels and columns those entries use. These rows are built
+    grouped by support, a label's orbits and block sizes, which its torus
+    labels share: ``_build_T`` builds T once per torus label, held only while
+    its support's rows are summed and never entering the cache of T. Each
+    other column mu^b of such a row is filled as sigma_b of its entry at mu,
+    and every other row, of a label lam^a, as sigma_a of its representative.
     ``character_row`` stays the direct route for any single row. Entries are
-    stored at e_mu, not at the common conductor N, and equal entries are one
-    shared object: a table holds few distinct values, so each entry's integer
-    coordinates are brought to their stored form and one ``Cyclotomic`` is
-    built per distinct (conductor, terms, den), zero included.
+    stored at e_mu, and equal entries are one shared object: one
+    ``Cyclotomic`` is built per distinct (conductor, terms, den).
     """
     if n < 1:
         raise ValueError("rank must be positive")
@@ -716,9 +727,29 @@ def char_table(n: int, q: int) -> CharTable:
             v = seen[raw] = _interned(interned, e, coords, den)
         return v
 
+    # sigma_b of each interned entry at conductor e, b a unit mod e, is
+    # computed once
+    images: dict[tuple[int, int], Cyclotomic] = {}
+
+    def image(v: Cyclotomic, e: int, b: int) -> Cyclotomic:
+        w = images.get((id(v), b))
+        if w is None:
+            coords = _reduced(e, ((j * b % e, c) for j, c in v.terms))
+            w = images[id(v), b] = entry(e, coords, v.den)
+        return w
+
+    # the representative columns, and the others as (index, b mod e) pairs
+    # under their representative, whose conductor e they share
+    col_reps: set[int] = set()
+    col_fill: dict[int, list[tuple[int, int]]] = {}
+    for k, (r, b) in enumerate(_orbit_plan(q, "phi", n)):
+        if r == k:
+            col_reps.add(k)
+        else:
+            col_fill.setdefault(r, []).append((k, b % conductors[k]))
     # a row sums T only over torus labels of its own support, and the
     # supports split the torus labels, so T is held for one support at a time
-    plan = _row_orbits(q, n)
+    plan = _orbit_plan(q, "theta", n)
     supports: dict[tuple, list[int]] = {}
     for i, (rep, _) in enumerate(plan):
         if rep == i:
@@ -729,7 +760,7 @@ def char_table(n: int, q: int) -> CharTable:
     def transition(gamma: MultiPartition) -> tuple:
         t = held.get(gamma)
         if t is None:
-            t = held[gamma] = _build_T(gamma)
+            t = held[gamma] = _build_T(gamma, col_reps)
         return t
 
     built: dict[int, list[Cyclotomic]] = {}
@@ -737,13 +768,18 @@ def char_table(n: int, q: int) -> CharTable:
         held.clear()
         for i in group:
             acc, den = _row_cols(rows[i], transition)
-            built[i] = [entry(e, acc.get(k, {}), den) for k, e in enumerate(conductors)]
+            row = [entry(e, acc.get(k, {}), den) if k in col_reps else None
+                   for k, e in enumerate(conductors)]
+            for r, rest in col_fill.items():
+                v, e = row[r], conductors[r]
+                # sigma_b fixes rational entries
+                rational = v.is_rational()
+                for k, b in rest:
+                    row[k] = v if rational else image(v, e, b)
+            built[i] = row
     held.clear()
-    # sigma_a fixes rational entries, so only a representative's irrational
-    # columns change along its orbit; sigma_b of each interned entry, b the
-    # unit a mod e, is computed once
+    # only a representative's irrational columns change along its orbit
     irrational: dict[int, list[int]] = {}
-    images: dict[tuple[int, int], Cyclotomic] = {}
     values: list[tuple[Cyclotomic, ...]] = []
     for i, (rep, a) in enumerate(plan):
         if rep == i:
@@ -752,13 +788,8 @@ def char_table(n: int, q: int) -> CharTable:
         else:
             row = list(values[rep])
             for k in irrational[rep]:
-                v, e = row[k], conductors[k]
-                b = a % e
-                w = images.get((id(v), b))
-                if w is None:
-                    coords = _reduced(e, ((j * b % e, c) for j, c in v.terms))
-                    w = images[id(v), b] = entry(e, coords, v.den)
-                row[k] = w
+                e = conductors[k]
+                row[k] = image(row[k], e, a % e)
         values.append(tuple(row))
     sizes = tuple(class_size(mu) for mu in cols)
     return CharTable(n, q, rows, cols, tuple(values), sizes)

@@ -555,35 +555,60 @@ def _direct_mismatches(table, rows) -> list[int]:
     return bad
 
 
-def _filled_rows(q: int, n: int) -> list[int]:
-    from ennola.charmap import _row_orbits
+def _filled(q: int, kind: str, n: int) -> list[int]:
+    # the rows (theta) or columns (phi) char_table fills by Galois action
+    from ennola.charmap import _orbit_plan
 
-    return [i for i, (rep, _) in enumerate(_row_orbits(q, n)) if rep != i]
+    return [i for i, (rep, _) in enumerate(_orbit_plan(q, kind, n)) if rep != i]
 
 
 @pytest.mark.parametrize("n, q", [(4, 3), (5, 2)])
 def test_filled_table_equals_the_direct_rows(n: int, q: int) -> None:
     table = char_table(n, q)
-    assert _filled_rows(q, n)
+    assert _filled(q, "theta", n)
     assert _direct_mismatches(table, range(len(table.rows))) == []
 
 
 def test_filled_rows_of_the_6_2_table_equal_the_direct_rows() -> None:
-    filled = _filled_rows(2, 6)
-    assert len(filled) == 324 - 170
-    assert _direct_mismatches(char_table(6, 2), filled) == []
+    # the representative rows hold columns filled by sigma_b, so every row
+    # holds filled entries and every row is compared
+    assert len(_filled(2, "theta", 6)) == 324 - 170
+    assert len(_filled(2, "phi", 6)) == 324 - 170
+    table = char_table(6, 2)
+    assert _direct_mismatches(table, range(len(table.rows))) == []
 
 
 def test_row_orbit_sources_are_earlier_rows_and_map_labels_by_their_unit() -> None:
-    from ennola.charmap import _galois_label, _row_orbits
+    from ennola.charmap import _galois_label, _orbit_plan
 
     q, n = 3, 4
     rows = enumerate_mp(q, "theta", n)
     big = conductor(q, n)
-    for i, (rep, a) in enumerate(_row_orbits(q, n)):
+    for i, (rep, a) in enumerate(_orbit_plan(q, "theta", n)):
         assert rep <= i and math.gcd(a, big) == 1
         assert _galois_label(rows[rep], a) is rows[i]
         assert (rep == i) == (a == 1)
+
+
+@pytest.mark.parametrize("n, q, orbits", [(4, 3, 99), (5, 2, 76), (3, 4, 28), (2, 9, 27)])
+def test_column_plan_maps_classes_by_their_unit_with_as_many_orbits_as_rows(
+    n: int, q: int, orbits: int
+) -> None:
+    # by Brauer's permutation lemma the Galois group has as many orbits on
+    # the classes as on the characters
+    from ennola.charmap import _columns, _galois_label, _orbit_plan
+
+    cols, _, conductors = _columns(q, n)
+    big = conductor(q, n)
+    plan = _orbit_plan(q, "phi", n)
+    assert len(plan) == len(cols)
+    for k, (rep, b) in enumerate(plan):
+        assert rep <= k and math.gcd(b, big) == 1
+        assert _galois_label(cols[rep], b) is cols[k]
+        assert (rep == k) == (b == 1)
+        assert conductors[rep] == conductors[k]
+    assert len(cols) - len(_filled(q, "phi", n)) == orbits
+    assert len(enumerate_mp(q, "theta", n)) - len(_filled(q, "theta", n)) == orbits
 
 
 @pytest.mark.parametrize("q, n", [(2, 3), (3, 3), (2, 4)])
@@ -611,15 +636,17 @@ class _WeakRow(list):
 def _counted_T_builds(monkeypatch, n: int, q: int) -> list:
     # the torus labels char_table(n, q) builds T for, in build order, counted
     # at the uncached builder, each with the labels whose rows of T are still
-    # alive when it is built
+    # alive when it is built, and the row of T built
     import ennola.charmap as cm
 
     build = cm._build_T
     built, refs = [], []
 
-    def counting(gamma):
-        built.append((gamma, [g for g, ref in refs if ref() is not None]))
-        row = _WeakRow(build(gamma))
+    def counting(gamma, cols):
+        alive = [g for g, ref in refs if ref() is not None]
+        row = _WeakRow(build(gamma, cols))
+        # a copy, so the weak reference still ends with the build's own row
+        built.append((gamma, alive, tuple(row)))
         refs.append((gamma, weakref.ref(row)))
         return row
 
@@ -633,14 +660,32 @@ def test_char_table_builds_T_only_for_representative_rows(
 ) -> None:
     import ennola.charmap as cm
 
-    built = [gamma for gamma, _ in _counted_T_builds(monkeypatch, 4, 3)]
-    reps = [i for i, (rep, _) in enumerate(cm._row_orbits(3, 4)) if rep == i]
+    built = [gamma for gamma, _, _ in _counted_T_builds(monkeypatch, 4, 3)]
+    reps = [i for i, (rep, _) in enumerate(cm._orbit_plan(3, "theta", 4)) if rep == i]
     used = {gamma for i in reps for gamma, _ in cm._schur_items(enumerate_mp(3, "theta", 4)[i])}
     assert len(reps) == 99
     assert len(built) == len(set(built)) == len(used) == 100
     assert set(built) == used
     # the rows of T were held by the build alone, never by the cache
     assert cm._power_theta_to_P_cols.cache_info().currsize == 0
+
+
+def test_char_table_builds_T_only_on_representative_columns(
+    monkeypatch, fresh_transition_caches
+) -> None:
+    # each row of T built for the table holds representative columns alone,
+    # and there it is the row of T built on every column
+    import ennola.charmap as cm
+
+    q, n = 3, 4
+    reps = {k for k, (rep, _) in enumerate(cm._orbit_plan(q, "phi", n)) if rep == k}
+    every = range(len(cm._columns(q, n)[0]))
+    build = cm._build_T
+    built = _counted_T_builds(monkeypatch, n, q)
+    assert len(reps) == 99 and len(built) == 100
+    for gamma, _, row in built:
+        assert row and {k for k, _ in row} <= reps
+        assert row == tuple((k, terms) for k, terms in build(gamma, every) if k in reps)
 
 
 def test_char_table_leaves_the_T_cache_as_it_found_it(fresh_transition_caches) -> None:
@@ -679,10 +724,20 @@ def test_T_builds_come_grouped_by_support(monkeypatch, n: int, q: int) -> None:
         return tuple((orb.size, orb.residue, sum(bl)) for orb, bl in gamma.assignment)
 
     built = _counted_T_builds(monkeypatch, n, q)
-    runs = [s for s, _ in itertools.groupby(support(gamma) for gamma, _ in built)]
+    runs = [s for s, _ in itertools.groupby(support(gamma) for gamma, _, _ in built)]
     assert len(runs) == len(set(runs)) > 1
-    for gamma, alive in built:
+    for gamma, alive, _ in built:
         assert all(support(g) == support(gamma) for g in alive)
+
+
+def _inverse_units(real, kind: str):
+    # the orbit plan with every unit of one kind replaced by its inverse
+    def plan(q: int, which: str, n: int) -> tuple:
+        big = conductor(q, n)
+        out = real(q, which, n)
+        return tuple((rep, pow(b, -1, big)) for rep, b in out) if which == kind else out
+
+    return plan
 
 
 def test_filling_by_the_inverse_unit_fails_the_direct_rows(monkeypatch) -> None:
@@ -692,16 +747,32 @@ def test_filling_by_the_inverse_unit_fails_the_direct_rows(monkeypatch) -> None:
 
     q, n = 3, 4
     good = char_table(n, q)
-    real = cm._row_orbits
-    big = conductor(q, n)
-    monkeypatch.setattr(
-        cm, "_row_orbits", lambda q, n: tuple((rep, pow(a, -1, big)) for rep, a in real(q, n))
-    )
+    monkeypatch.setattr(cm, "_orbit_plan", _inverse_units(cm._orbit_plan, "theta"))
     bad = char_table(n, q)
     k = bad.cols.index(identity_class(q, n))
     assert [row[k] for row in bad.values] == [row[k] for row in good.values]
     mismatches = _direct_mismatches(bad, range(len(bad.rows)))
-    assert mismatches and set(mismatches) <= set(_filled_rows(q, n))
+    assert mismatches and set(mismatches) <= set(_filled(q, "theta", n))
+
+
+def test_filling_columns_by_the_inverse_unit_fails_the_direct_rows(monkeypatch) -> None:
+    # sigma_(b^-1) in place of sigma_b gives the column of another class in
+    # the same orbit: the identity column, the degrees and the representative
+    # columns survive, so only the direct rows can tell
+    import ennola.charmap as cm
+
+    q, n = 3, 4
+    good = char_table(n, q)
+    monkeypatch.setattr(cm, "_orbit_plan", _inverse_units(cm._orbit_plan, "phi"))
+    bad = char_table(n, q)
+    k = bad.cols.index(identity_class(q, n))
+    assert [row[k] for row in bad.values] == [row[k] for row in good.values]
+    filled = set(_filled(q, "phi", n))
+    reps = [j for j in range(len(bad.cols)) if j not in filled]
+    assert [[row[j] for j in reps] for row in bad.values] == [
+        [row[j] for j in reps] for row in good.values
+    ]
+    assert _direct_mismatches(bad, range(len(bad.rows)))
 
 
 def test_missing_coefficients_share_one_zero() -> None:
