@@ -605,14 +605,19 @@ def _galois_label(lam: MultiPartition, a: int) -> MultiPartition:
     return mp_of_blocks(lam.kind, lam.q, tuple(sorted(key)))
 
 
-def _orbit_plan(q: int, kind: str, n: int) -> tuple[tuple[int, int], ...]:
-    """For each multipartition of ``enumerate_mp(q, kind, n)``, in table
-    order, the index of the one it is filled from and a unit b mod N,
-    N = ``conductor(q, n)``, such that this multipartition is that one to
-    the b: a row label for ``theta``, a column class for ``phi``. The first
-    of each Galois orbit is its representative, (its own index, 1); the rest
-    of the orbit is reached from it through generators of the units mod N."""
-    mps = enumerate_mp(q, kind, n)
+def _orbit_plan(q: int, n: int) -> tuple[tuple[int, int], ...]:
+    """For each index of the degree-n table, rows and columns alike, the
+    index it is filled from and a unit b mod N, N = ``conductor(q, n)``,
+    such that the label there is that index's label to the b, and the class
+    there that index's class to the b. The first of each Galois orbit is its
+    representative, (its own index, 1); the rest of the orbit is reached from
+    it through generators of the units mod N.
+
+    One plan serves both kinds: ``enumerate_mp`` orders labels and classes
+    by the same kind-blind ``MultiPartition.sort_key`` over the same orbit
+    labels, and ``_galois_label`` moves only the (size, residue, part) keys.
+    """
+    mps = enumerate_mp(q, "theta", n)
     index = {mp: i for i, mp in enumerate(mps)}
     big = conductor(q, n)
     gens = _unit_generators(big)
@@ -638,10 +643,10 @@ class CharTable(Record):
 
     Each entry is stored at its column's conductor e_mu, the lcm of the
     orders of the class's point orbits, and equal entries are one shared
-    object. One row per Galois orbit of labels is computed from T, held for
-    one support of labels at a time, at one column per Galois orbit of
-    classes; its other columns are images under sigma_b, and the other rows
-    its images under sigma_a (see ``char_table``). ``rendered`` writes every
+    object. A block of one row per Galois orbit of labels, at one column per
+    Galois orbit of classes, is computed from T, held for one support of
+    labels at a time; every entry is an image of a block entry under some
+    sigma_ab (see ``char_table``). ``rendered`` writes every
     entry at the common conductor N of degree n, as all output does.
     """
 
@@ -696,20 +701,21 @@ def char_table(n: int, q: int) -> CharTable:
     """Character table of the rank-n unitary group over the q^2 field.
 
     Rows and columns follow the canonical multipartition order; the columns
-    are the ``enumerate_mp`` objects. Galois action moves both: for a unit
-    b, sigma_b(chi_lam(mu)) = chi_lam^b(mu) = chi_lam(mu^b), with sigma_b
-    zeta_e^i -> zeta_e^(i b) at each column conductor e_mu. So the first row
-    of each Galois orbit of labels is summed from T only at the first column
-    of each Galois orbit of classes (``_orbit_plan``), and T is built only for
-    the torus labels and columns those entries use. These rows are built
+    are the ``enumerate_mp`` objects. Galois action moves both: for units a
+    and b, sigma_ab(chi_lam(mu)) = chi_lam^a(mu^b), with sigma_u
+    zeta_e^i -> zeta_e^(i u) at each column conductor e_mu. One plan
+    (``_orbit_plan``) gives every row and every column its orbit
+    representative and unit, so the block of representative rows at
+    representative columns is summed from T, and T is built only for the
+    torus labels and columns the block uses. The block rows are built
     grouped by support, a label's orbits and block sizes, which its torus
     labels share: ``_build_T`` builds T once per torus label, held only while
-    its support's rows are summed and never entering the cache of T. Each
-    other column mu^b of such a row is filled as sigma_b of its entry at mu,
-    and every other row, of a label lam^a, as sigma_a of its representative.
-    ``character_row`` stays the direct route for any single row. Entries are
-    stored at e_mu, and equal entries are one shared object: one
-    ``Cyclotomic`` is built per distinct (conductor, terms, den).
+    its support's rows are summed and never entering the cache of T. Then one
+    fill sets the entry at the row of lam^a and the column of mu^b to
+    sigma_ab of the block entry at (lam, mu). ``character_row`` stays the
+    direct route for any single row. Entries are stored at e_mu, and equal
+    entries are one shared object: one ``Cyclotomic`` is built per distinct
+    (conductor, terms, den).
     """
     if n < 1:
         raise ValueError("rank must be positive")
@@ -727,69 +733,48 @@ def char_table(n: int, q: int) -> CharTable:
             v = seen[raw] = _interned(interned, e, coords, den)
         return v
 
-    # sigma_b of each interned entry at conductor e, b a unit mod e, is
-    # computed once
-    images: dict[tuple[int, int], Cyclotomic] = {}
-
-    def image(v: Cyclotomic, e: int, b: int) -> Cyclotomic:
-        w = images.get((id(v), b))
-        if w is None:
-            coords = _reduced(e, ((j * b % e, c) for j, c in v.terms))
-            w = images[id(v), b] = entry(e, coords, v.den)
-        return w
-
-    # the representative columns, and the others as (index, b mod e) pairs
-    # under their representative, whose conductor e they share
-    col_reps: set[int] = set()
-    col_fill: dict[int, list[tuple[int, int]]] = {}
-    for k, (r, b) in enumerate(_orbit_plan(q, "phi", n)):
-        if r == k:
-            col_reps.add(k)
-        else:
-            col_fill.setdefault(r, []).append((k, b % conductors[k]))
+    plan = _orbit_plan(q, n)
+    reps = {i for i, (r, _) in enumerate(plan) if r == i}
     # a row sums T only over torus labels of its own support, and the
     # supports split the torus labels, so T is held for one support at a time
-    plan = _orbit_plan(q, "theta", n)
     supports: dict[tuple, list[int]] = {}
-    for i, (rep, _) in enumerate(plan):
-        if rep == i:
-            key = tuple((orb.size, orb.residue, sum(bl)) for orb, bl in rows[i].lam.assignment)
-            supports.setdefault(key, []).append(i)
+    for i in sorted(reps):
+        key = tuple((orb.size, orb.residue, sum(bl)) for orb, bl in rows[i].lam.assignment)
+        supports.setdefault(key, []).append(i)
     held: dict[MultiPartition, tuple] = {}
 
     def transition(gamma: MultiPartition) -> tuple:
         t = held.get(gamma)
         if t is None:
-            t = held[gamma] = _build_T(gamma, col_reps)
+            t = held[gamma] = _build_T(gamma, reps)
         return t
 
-    built: dict[int, list[Cyclotomic]] = {}
+    block: dict[int, list[Cyclotomic | None]] = {}
     for group in supports.values():
         held.clear()
         for i in group:
             acc, den = _row_cols(rows[i], transition)
-            row = [entry(e, acc.get(k, {}), den) if k in col_reps else None
-                   for k, e in enumerate(conductors)]
-            for r, rest in col_fill.items():
-                v, e = row[r], conductors[r]
-                # sigma_b fixes rational entries
-                rational = v.is_rational()
-                for k, b in rest:
-                    row[k] = v if rational else image(v, e, b)
-            built[i] = row
+            block[i] = [entry(e, acc.get(k, {}), den) if k in reps else None
+                        for k, e in enumerate(conductors)]
     held.clear()
-    # only a representative's irrational columns change along its orbit
-    irrational: dict[int, list[int]] = {}
+    # entry (i, k) is sigma_u of block entry (r, c), u = ab mod e_k, for row
+    # plan (r, a) and column plan (c, b); sigma_u fixes rational entries, and
+    # each (entry, u) image is computed once
+    images: dict[tuple[int, int], Cyclotomic] = {}
     values: list[tuple[Cyclotomic, ...]] = []
-    for i, (rep, a) in enumerate(plan):
-        if rep == i:
-            row = built.pop(i)
-            irrational[i] = [k for k, v in enumerate(row) if not v.is_rational()]
-        else:
-            row = list(values[rep])
-            for k in irrational[rep]:
-                e = conductors[k]
-                row[k] = image(row[k], e, a % e)
+    for r, a in plan:
+        src = block[r]
+        row = []
+        for (c, b), e in zip(plan, conductors):
+            v = src[c]
+            if not v.is_rational():
+                u = a * b % e
+                w = images.get((id(v), u))
+                if w is None:
+                    coords = _reduced(e, ((j * u % e, x) for j, x in v.terms))
+                    w = images[id(v), u] = entry(e, coords, v.den)
+                v = w
+            row.append(v)
         values.append(tuple(row))
     sizes = tuple(class_size(mu) for mu in cols)
     return CharTable(n, q, rows, cols, tuple(values), sizes)

@@ -555,25 +555,24 @@ def _direct_mismatches(table, rows) -> list[int]:
     return bad
 
 
-def _filled(q: int, kind: str, n: int) -> list[int]:
-    # the rows (theta) or columns (phi) char_table fills by Galois action
+def _filled(q: int, n: int) -> list[int]:
+    # the rows, and likewise the columns, char_table fills by Galois action
     from ennola.charmap import _orbit_plan
 
-    return [i for i, (rep, _) in enumerate(_orbit_plan(q, kind, n)) if rep != i]
+    return [i for i, (rep, _) in enumerate(_orbit_plan(q, n)) if rep != i]
 
 
 @pytest.mark.parametrize("n, q", [(4, 3), (5, 2)])
 def test_filled_table_equals_the_direct_rows(n: int, q: int) -> None:
     table = char_table(n, q)
-    assert _filled(q, "theta", n)
+    assert _filled(q, n)
     assert _direct_mismatches(table, range(len(table.rows))) == []
 
 
 def test_filled_rows_of_the_6_2_table_equal_the_direct_rows() -> None:
     # the representative rows hold columns filled by sigma_b, so every row
     # holds filled entries and every row is compared
-    assert len(_filled(2, "theta", 6)) == 324 - 170
-    assert len(_filled(2, "phi", 6)) == 324 - 170
+    assert len(_filled(2, 6)) == 324 - 170
     table = char_table(6, 2)
     assert _direct_mismatches(table, range(len(table.rows))) == []
 
@@ -584,7 +583,7 @@ def test_row_orbit_sources_are_earlier_rows_and_map_labels_by_their_unit() -> No
     q, n = 3, 4
     rows = enumerate_mp(q, "theta", n)
     big = conductor(q, n)
-    for i, (rep, a) in enumerate(_orbit_plan(q, "theta", n)):
+    for i, (rep, a) in enumerate(_orbit_plan(q, n)):
         assert rep <= i and math.gcd(a, big) == 1
         assert _galois_label(rows[rep], a) is rows[i]
         assert (rep == i) == (a == 1)
@@ -594,21 +593,25 @@ def test_row_orbit_sources_are_earlier_rows_and_map_labels_by_their_unit() -> No
 def test_column_plan_maps_classes_by_their_unit_with_as_many_orbits_as_rows(
     n: int, q: int, orbits: int
 ) -> None:
-    # by Brauer's permutation lemma the Galois group has as many orbits on
-    # the classes as on the characters
+    # the one plan serves columns and rows alike, since classes and labels
+    # sort alike, and it maps both by their unit; by Brauer's permutation
+    # lemma the Galois group has as many orbits on the classes as on the
+    # characters
     from ennola.charmap import _columns, _galois_label, _orbit_plan
 
+    rows = enumerate_mp(q, "theta", n)
     cols, _, conductors = _columns(q, n)
+    assert [m.sort_key() for m in rows] == [m.sort_key() for m in enumerate_mp(q, "phi", n)]
     big = conductor(q, n)
-    plan = _orbit_plan(q, "phi", n)
-    assert len(plan) == len(cols)
-    for k, (rep, b) in enumerate(plan):
-        assert rep <= k and math.gcd(b, big) == 1
-        assert _galois_label(cols[rep], b) is cols[k]
-        assert (rep == k) == (b == 1)
-        assert conductors[rep] == conductors[k]
-    assert len(cols) - len(_filled(q, "phi", n)) == orbits
-    assert len(enumerate_mp(q, "theta", n)) - len(_filled(q, "theta", n)) == orbits
+    plan = _orbit_plan(q, n)
+    assert len(plan) == len(rows) == len(cols)
+    for i, (rep, u) in enumerate(plan):
+        assert rep <= i and math.gcd(u, big) == 1
+        assert (rep == i) == (u == 1)
+        assert _galois_label(rows[rep], u) is rows[i]
+        assert _galois_label(cols[rep], u) is cols[i]
+        assert conductors[rep] == conductors[i]
+    assert len(plan) - len(_filled(q, n)) == orbits
 
 
 @pytest.mark.parametrize("q, n", [(2, 3), (3, 3), (2, 4)])
@@ -661,7 +664,7 @@ def test_char_table_builds_T_only_for_representative_rows(
     import ennola.charmap as cm
 
     built = [gamma for gamma, _, _ in _counted_T_builds(monkeypatch, 4, 3)]
-    reps = [i for i, (rep, _) in enumerate(cm._orbit_plan(3, "theta", 4)) if rep == i]
+    reps = [i for i, (rep, _) in enumerate(cm._orbit_plan(3, 4)) if rep == i]
     used = {gamma for i in reps for gamma, _ in cm._schur_items(enumerate_mp(3, "theta", 4)[i])}
     assert len(reps) == 99
     assert len(built) == len(set(built)) == len(used) == 100
@@ -678,7 +681,7 @@ def test_char_table_builds_T_only_on_representative_columns(
     import ennola.charmap as cm
 
     q, n = 3, 4
-    reps = {k for k, (rep, _) in enumerate(cm._orbit_plan(q, "phi", n)) if rep == k}
+    reps = {k for k, (rep, _) in enumerate(cm._orbit_plan(q, n)) if rep == k}
     every = range(len(cm._columns(q, n)[0]))
     build = cm._build_T
     built = _counted_T_builds(monkeypatch, n, q)
@@ -730,49 +733,60 @@ def test_T_builds_come_grouped_by_support(monkeypatch, n: int, q: int) -> None:
         assert all(support(g) == support(gamma) for g in alive)
 
 
-def _inverse_units(real, kind: str):
-    # the orbit plan with every unit of one kind replaced by its inverse
-    def plan(q: int, which: str, n: int) -> tuple:
-        big = conductor(q, n)
-        out = real(q, which, n)
-        return tuple((rep, pow(b, -1, big)) for rep, b in out) if which == kind else out
+def _wrong_unit_halves(monkeypatch, unit) -> tuple[int, int]:
+    # char_table(4, 3) with every unit u of the plan replaced by unit(u, N):
+    # the identity column, the degrees and the block survive, so only the
+    # direct rows can tell; returns how many entries change in representative
+    # rows at filled columns and in filled rows at representative columns
+    import ennola.charmap as cm
 
-    return plan
+    q, n = 3, 4
+    good = char_table(n, q)
+    filled = set(_filled(q, n))
+    real = cm._orbit_plan
+
+    def plan(q: int, n: int) -> tuple:
+        return tuple((rep, unit(u, conductor(q, n))) for rep, u in real(q, n))
+
+    monkeypatch.setattr(cm, "_orbit_plan", plan)
+    bad = char_table(n, q)
+    k = bad.cols.index(identity_class(q, n))
+    assert [row[k] for row in bad.values] == [row[k] for row in good.values]
+    reps = [j for j in range(len(bad.cols)) if j not in filled]
+    assert [[bad.values[i][j] for j in reps] for i in reps] == [
+        [good.values[i][j] for j in reps] for i in reps
+    ]
+    diff = {
+        (i, j)
+        for i, (x, y) in enumerate(zip(bad.values, good.values))
+        for j, (v, w) in enumerate(zip(x, y))
+        if v != w
+    }
+    assert _direct_mismatches(bad, range(len(bad.rows))) == sorted({i for i, _ in diff})
+    rep_rows = sum(i not in filled and j in filled for i, j in diff)
+    filled_rows = sum(i in filled and j not in filled for i, j in diff)
+    return rep_rows, filled_rows
+
+
+def _inverse(u: int, big: int) -> int:
+    return pow(u, -1, big)
 
 
 def test_filling_by_the_inverse_unit_fails_the_direct_rows(monkeypatch) -> None:
     # sigma_(a^-1) in place of sigma_a gives the row of another label in the
-    # same orbit: the degrees survive, so only the direct rows can tell
-    import ennola.charmap as cm
-
-    q, n = 3, 4
-    good = char_table(n, q)
-    monkeypatch.setattr(cm, "_orbit_plan", _inverse_units(cm._orbit_plan, "theta"))
-    bad = char_table(n, q)
-    k = bad.cols.index(identity_class(q, n))
-    assert [row[k] for row in bad.values] == [row[k] for row in good.values]
-    mismatches = _direct_mismatches(bad, range(len(bad.rows)))
-    assert mismatches and set(mismatches) <= set(_filled(q, "theta", n))
+    # same orbit, at the representative columns too
+    assert _wrong_unit_halves(monkeypatch, _inverse)[1] == 4
 
 
 def test_filling_columns_by_the_inverse_unit_fails_the_direct_rows(monkeypatch) -> None:
     # sigma_(b^-1) in place of sigma_b gives the column of another class in
-    # the same orbit: the identity column, the degrees and the representative
-    # columns survive, so only the direct rows can tell
-    import ennola.charmap as cm
+    # the same orbit, in the representative rows too
+    assert _wrong_unit_halves(monkeypatch, _inverse)[0] == 4
 
-    q, n = 3, 4
-    good = char_table(n, q)
-    monkeypatch.setattr(cm, "_orbit_plan", _inverse_units(cm._orbit_plan, "phi"))
-    bad = char_table(n, q)
-    k = bad.cols.index(identity_class(q, n))
-    assert [row[k] for row in bad.values] == [row[k] for row in good.values]
-    filled = set(_filled(q, "phi", n))
-    reps = [j for j in range(len(bad.cols)) if j not in filled]
-    assert [[row[j] for j in reps] for row in bad.values] == [
-        [row[j] for j in reps] for row in good.values
-    ]
-    assert _direct_mismatches(bad, range(len(bad.rows)))
+
+def test_filling_by_the_unit_one_fails_the_direct_rows(monkeypatch) -> None:
+    # sigma_1 copies the block entry into every row and column of its orbit
+    assert _wrong_unit_halves(monkeypatch, lambda u, big: 1) == (2217, 2228)
 
 
 def test_missing_coefficients_share_one_zero() -> None:
