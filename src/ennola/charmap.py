@@ -439,26 +439,37 @@ def _expand_linear(coeffs: dict[MultiPartition, Cyclotomic], items_of, floor: in
     Products and sums are integer coordinates over exponents mod L, L the lcm
     of floor and of the conductors that the coefficients and the map's values
     carry (rational values count as conductor 1), over one common
-    denominator. Each result is reduced once and written at L.
+    denominator. Each distinct map value (by identity; ``rows`` keeps every
+    one alive for the call) is decomposed and written at L once, and each
+    distinct accumulated vector is reduced and built once, so equal results
+    share one object.
     """
     rows = [(c, items_of(mp)) for mp, c in coeffs.items()]
-    conductors, dens = {floor, *(c.conductor for c, _ in rows)}, set()
+    forms: dict[int, tuple] = {}
     for _, items in rows:
         for _, v in items:
-            n, _, d = _coords(v)
-            conductors.add(n)
-            dens.add(d)
-    big = math.lcm(*conductors)
-    den_c, den_v = math.lcm(*(c.den for c, _ in rows)), math.lcm(*dens)
+            if id(v) not in forms:
+                forms[id(v)] = _coords(v)
+    big = math.lcm(floor, *(c.conductor for c, _ in rows), *(n for n, _, _ in forms.values()))
+    den_c = math.lcm(*(c.den for c, _ in rows))
+    den_v = math.lcm(*(d for _, _, d in forms.values()))
+    exps = {key: _exponents(form, big, den_v) for key, form in forms.items()}
     acc: dict[MultiPartition, dict[int, int]] = {}
     for c, items in rows:
         cterms = _exponents(c, big, den_c)
         for target, v in items:
-            _mul_into(acc.setdefault(target, {}), cterms, _exponents(v, big, den_v), big)
+            _mul_into(acc.setdefault(target, {}), cterms, exps[id(v)], big)
     den = den_c * den_v
-    return {
-        key: v for key, vec in acc.items() if (v := Cyclotomic(big, _reduced(big, vec.items()), den))
-    }
+    built: dict[tuple, Cyclotomic] = {}
+    out = {}
+    for key, vec in acc.items():
+        raw = tuple(vec.items())
+        v = built.get(raw)
+        if v is None:
+            v = built[raw] = Cyclotomic(big, _reduced(big, raw), den)
+        if v:
+            out[key] = v
+    return out
 
 
 _STEPS = {

@@ -40,13 +40,14 @@ class MultiPartition(Record):
     """Finite map from orbits to nonempty partitions, canonically sorted.
 
     The hash is the hash of the three fields, computed once at construction:
-    class keys are looked up far more often than they are built. String
-    hashes differ between processes, so pickling keeps only the fields and
-    loading computes the hash afresh.
+    class keys are looked up far more often than they are built. The size
+    (``mp_size``) is kept the same way. String hashes differ between
+    processes, so pickling keeps only the fields and loading computes the
+    hash and the size afresh.
     """
 
     _fields = ("kind", "q", "assignment")
-    __slots__ = (*_fields, "_hash")
+    __slots__ = (*_fields, "_hash", "_size")
     kind: str
     q: int
     assignment: tuple[tuple[OrbitId, Partition], ...]
@@ -75,6 +76,7 @@ class MultiPartition(Record):
         _set(self, "q", q)
         _set(self, "assignment", assignment)
         _set(self, "_hash", hash((kind, q, assignment)))
+        _set(self, "_size", sum(orb.size * sum(lam) for orb, lam in assignment))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not MultiPartition:
@@ -134,7 +136,7 @@ def mp_of_blocks(kind: str, q: int, key: tuple) -> MultiPartition:
 
 def mp_size(nu: MultiPartition) -> int:
     """Total size, each block weighted by its orbit degree."""
-    return sum(orb.size * sum(lam) for orb, lam in nu.assignment)
+    return nu._size
 
 
 class MPStats(NamedTuple):

@@ -98,6 +98,27 @@ def test_pickled_multipartition_is_found_under_another_hash_seed():
     assert found == "found"
 
 
+@pytest.mark.parametrize("q, n", [(2, 4), (3, 3), (4, 2)])
+def test_stored_size_is_the_weighted_block_sum(q, n):
+    # the size is kept like the hash, in a slot outside the fields
+    import pickle
+
+    assert "_size" not in MultiPartition._fields
+    for kind in ("phi", "theta"):
+        for m in range(1, n + 1):
+            for mp in enumerate_mp(q, kind, m):
+                weighted = sum(orb.size * sum(lam) for orb, lam in mp.assignment)
+                assert weighted == m
+                assert mp_size(mp) == mp._size == weighted
+                loaded = pickle.loads(pickle.dumps(mp))
+                assert loaded == mp and mp_size(loaded) == loaded._size == weighted
+                with pytest.raises(AttributeError):
+                    mp._size = weighted + 1
+                with pytest.raises(AttributeError):
+                    del mp._size
+                assert mp_size(mp) == weighted
+
+
 def _example_18() -> MultiPartition:
     # degree-1 block (2,2), degree-2 blocks (2) and (4,1)
     return MultiPartition("phi", 3, {
