@@ -21,19 +21,19 @@ orbits: one row entry is chosen per block, and the entries multiply. The step
 P -> p_theta does not: since the characteristic map is an isometry, it is T,
 the p_theta -> P transition, conjugated, transposed and scaled by the squared
 norms. Both transitions store each entry at its class's column conductor e_mu,
-and ``to_basis`` alone writes the P side at the common conductor N.
+as one shared ``Cyclotomic`` per stored form, and ``to_basis`` alone writes the
+P side at the common conductor N.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from fractions import Fraction
 from functools import cache
 from itertools import product as iproduct
 
 from ._record import Record, _set
-from .exactnum import Cyclotomic, _reduced, _stored_form, _unit_generators
+from .exactnum import Cyclotomic, _reduced, _unit_generators
 from .multipartitions import (
     MultiPartition,
     centralizer_order,
@@ -235,17 +235,10 @@ def _class_conductor(q: int, orbits) -> int:
     return math.lcm(*(level_order(q, d) // math.gcd(k, level_order(q, d)) for d, k in orbits))
 
 
-def _interned(
-    table: dict[tuple, Cyclotomic], e: int, coords: dict[int, int], den: int
-) -> Cyclotomic:
-    """The one ``Cyclotomic`` in ``table`` whose value is the coordinates over
-    den at conductor e, keyed by its stored form (conductor, terms, den) and
-    built on first sight."""
-    form = (e, *_stored_form(coords, den))
-    v = table.get(form)
-    if v is None:
-        v = table[form] = Cyclotomic(e, dict(form[1]), form[2])
-    return v
+def _shared(table: dict[tuple, Cyclotomic], v: Cyclotomic) -> Cyclotomic:
+    """The one ``Cyclotomic`` in ``table`` of v's stored form (conductor,
+    terms, den), which is v itself on first sight."""
+    return table.setdefault((v.conductor, v.terms, v.den), v)
 
 
 @cache
@@ -281,7 +274,8 @@ def _build_T(gamma: MultiPartition, cols) -> tuple[tuple[int, tuple], ...]:
     """T, the p_theta to P transition, built afresh on the column indices in
     ``cols``: one character-orbit power sum in the Hall-Littlewood basis, as
     (column index, terms) pairs, each entry's terms its nonzero power-basis
-    coordinates at the column's conductor e_mu.
+    coordinates at the column's conductor e_mu, sorted by index as a
+    ``Cyclotomic`` stores them.
 
     Each part passes through the variable-change transform, whose
     coefficients stay unreduced integer counts of roots of unity, lifted to
@@ -318,71 +312,80 @@ def _build_T(gamma: MultiPartition, cols) -> tuple[tuple[int, tuple], ...]:
             out = acc.setdefault(col, {})
             for i, x in terms:
                 out[i] = out.get(i, 0) + g * x
-    entries = ((col, tuple(t for t in acc[col].items() if t[1])) for col in sorted(acc))
+    entries = ((col, tuple(sorted(t for t in acc[col].items() if t[1]))) for col in sorted(acc))
     return tuple((col, terms) for col, terms in entries if terms)
 
 
 # T and its transpose repeat few values, so their caches hold each distinct
 # value once; like the caches, these tables live as long as the process.
-# _T_TERMS maps an entry's terms to the one tuple the cache of T stores,
-# _TRANSPOSED maps (e_mu, T's terms, a_mu z_gamma) to the transposed value,
-# and _TRANSPOSED_VALUES maps a stored form (conductor, terms, den) to the one
-# Cyclotomic the transpose stores.
-_T_TERMS: dict[tuple, tuple] = {}
+# _VALUES maps a stored form (conductor, terms, den) to the one Cyclotomic
+# that T and its transpose store, and _TRANSPOSED maps (e_mu, T's terms,
+# a_mu z_gamma) to the transposed value; it is not keyed by T's value, since
+# equal values at different conductors compare equal.
+_VALUES: dict[tuple, Cyclotomic] = {}
 _TRANSPOSED: dict[tuple, Cyclotomic] = {}
-_TRANSPOSED_VALUES: dict[tuple, Cyclotomic] = {}
 
 
 @cache
-def _power_theta_to_P_cols(gamma: MultiPartition) -> tuple[tuple[int, tuple], ...]:
+def _power_theta_to_P_cols(gamma: MultiPartition) -> tuple[tuple[int, ...], tuple[Cyclotomic, ...]]:
     """The cache of T: ``_build_T`` on every column, since the transpose
-    reads all of T, with each distinct entry's terms one tuple across all
-    rows."""
-    intern = _T_TERMS.setdefault
-    every = range(len(_columns(gamma.q, mp_size(gamma))[0]))
-    return tuple((col, intern(terms, terms)) for col, terms in _build_T(gamma, every))
+    reads all of T, as its column indices and its values, each value the
+    ``_VALUES`` object of its stored form, built only on its first sight."""
+    _, _, conductors = _columns(gamma.q, mp_size(gamma))
+    cols, values = [], []
+    for col, terms in _build_T(gamma, range(len(conductors))):
+        v = _VALUES.get((conductors[col], terms, 1))
+        if v is None:
+            v = _shared(_VALUES, Cyclotomic(conductors[col], dict(terms)))
+        cols.append(col)
+        values.append(v)
+    return tuple(cols), tuple(values)
 
 
-def _power_theta_to_P_items(gamma: MultiPartition) -> tuple[tuple[MultiPartition, tuple], ...]:
+def _power_theta_to_P_items(gamma: MultiPartition) -> tuple[tuple[MultiPartition, Cyclotomic], ...]:
     """Expand a character-orbit power sum in the Hall-Littlewood basis: the
-    entries of T as stored in ``_power_theta_to_P_cols``, each one a
-    (conductor e_mu, terms, denominator 1) triple for ``_coords``; nothing is
-    lifted."""
-    cols, _, conductors = _columns(gamma.q, mp_size(gamma))
-    return tuple((cols[k], (conductors[k], terms, 1)) for k, terms in _power_theta_to_P_cols(gamma))
+    entries of T as (class, value) pairs, the values the shared objects of
+    ``_power_theta_to_P_cols``; nothing is built or lifted."""
+    cols = _columns(gamma.q, mp_size(gamma))[0]
+    return tuple((cols[k], v) for k, v in zip(*_power_theta_to_P_cols(gamma)))
 
 
 @cache
-def _P_to_power_theta_items(mu: MultiPartition) -> tuple[tuple[MultiPartition, Cyclotomic], ...]:
-    """Expand one Hall-Littlewood element in character-orbit power sums, by
-    reading T backwards.
+def _transposed(q: int, n: int) -> tuple[tuple[tuple[MultiPartition, Cyclotomic], ...], ...]:
+    """P to p_theta in degree n, read off T in one pass: for each column, the
+    (torus label, value) pairs of its Hall-Littlewood element in
+    character-orbit power sums.
 
     The characteristic map is an isometry: indicators pi_mu are orthogonal
     with squared norm 1/a_mu, a_mu the centralizer order, and the power sums
     p_gamma are orthogonal with squared norm z_gamma, the product of z_lam
     over gamma's blocks. So the coefficient of p_gamma in P_mu is
-    conj(T[gamma, mu]) / (a_mu z_gamma): each torus label's entry of T at
-    mu's column, conjugated, scaled and stored at the column conductor e_mu.
-    Each distinct (e_mu, terms, a_mu z_gamma) is conjugated once, and equal
-    values are one shared object.
+    conj(T[gamma, mu]) / (a_mu z_gamma), stored at the column conductor e_mu.
+    Each torus label's row of T is walked once, in label order, and appended
+    column by column. Each distinct (e_mu, terms, a_mu z_gamma) is conjugated
+    once, into the ``_VALUES`` object of its stored form.
     """
-    q, n = mu.q, mp_size(mu)
-    _, index, conductors = _columns(q, n)
-    k = index[mu]
-    e, a = conductors[k], centralizer_order(mu)
-    out = []
+    cols, _, conductors = _columns(q, n)
+    scale = [centralizer_order(mu) for mu in cols]
+    out: list[list] = [[] for _ in cols]
     for gamma in enumerate_mp(q, "theta", n):
-        row = _power_theta_to_P_cols(gamma)
-        i = bisect_left(row, (k,))
-        if i < len(row) and row[i][0] == k:
-            terms = row[i][1]
-            key = (e, terms, a * math.prod(z_stat(lam) for _, lam in gamma.assignment))
-            v = _TRANSPOSED.get(key)
-            if v is None:
-                coords = _reduced(e, ((-j % e, x) for j, x in terms))
-                v = _TRANSPOSED[key] = _interned(_TRANSPOSED_VALUES, e, coords, key[2])
-            out.append((gamma, v))
-    return tuple(out)
+        z = math.prod(z_stat(lam) for _, lam in gamma.assignment)
+        for k, v in zip(*_power_theta_to_P_cols(gamma)):
+            e = conductors[k]
+            key = (e, v.terms, scale[k] * z)
+            w = _TRANSPOSED.get(key)
+            if w is None:
+                coords = _reduced(e, ((-j % e, x) for j, x in v.terms))
+                w = _TRANSPOSED[key] = _shared(_VALUES, Cyclotomic(e, coords, key[2]))
+            out[k].append((gamma, w))
+    return tuple(map(tuple, out))
+
+
+def _P_to_power_theta_items(mu: MultiPartition) -> tuple[tuple[MultiPartition, Cyclotomic], ...]:
+    """Expand one Hall-Littlewood element in character-orbit power sums: its
+    column of ``_transposed``, which reads T backwards."""
+    q, n = mu.q, mp_size(mu)
+    return _transposed(q, n)[_columns(q, n)[1][mu]]
 
 
 @cache
@@ -409,22 +412,20 @@ def _power_to_schur_items(gamma: MultiPartition) -> tuple[tuple[MultiPartition, 
     return _blockwise(gamma, lambda orb, nu: _power_to_schur_row(nu))
 
 
-def _coords(v: Cyclotomic | tuple | Fraction | int) -> tuple[int, tuple[tuple[int, int], ...], int]:
+def _coords(v: Cyclotomic | Fraction | int) -> tuple[int, tuple[tuple[int, int], ...], int]:
     """Conductor, (index, coordinate) terms and denominator of a coefficient;
-    a rational one is written at conductor 1, and such a triple passes through."""
+    a rational one is written at conductor 1."""
     if isinstance(v, Cyclotomic):
         return v.conductor, v.terms, v.den
-    if isinstance(v, tuple):
-        return v
     if isinstance(v, int):
         return 1, ((0, v),), 1
     return 1, ((0, v.numerator),), v.denominator
 
 
-def _exponents(v: Cyclotomic | tuple | Fraction | int, big: int, den: int) -> list[tuple[int, int]]:
-    """The terms of a coefficient as integer multiples of exponents mod big,
-    over the denominator den (a multiple of its own)."""
-    n, terms, d = _coords(v)
+def _exponents(form: tuple, big: int, den: int) -> list[tuple[int, int]]:
+    """The terms of a coefficient's ``_coords`` form as integer multiples of
+    exponents mod big, over the denominator den (a multiple of its own)."""
+    n, terms, d = form
     step, scale = big // n, den // d
     return [(i * step, x * scale) for i, x in terms]
 
@@ -456,7 +457,7 @@ def _expand_linear(coeffs: dict[MultiPartition, Cyclotomic], items_of, floor: in
     exps = {key: _exponents(form, big, den_v) for key, form in forms.items()}
     acc: dict[MultiPartition, dict[int, int]] = {}
     for c, items in rows:
-        cterms = _exponents(c, big, den_c)
+        cterms = _exponents(_coords(c), big, den_c)
         for target, v in items:
             _mul_into(acc.setdefault(target, {}), cterms, exps[id(v)], big)
     den = den_c * den_v
@@ -557,15 +558,13 @@ def expand_schur(label: CharLabel | MultiPartition) -> SymElement:
     return to_basis(schur(lam), "P")
 
 
-def _row_cols(
-    label: CharLabel, transition=_power_theta_to_P_cols
-) -> tuple[dict[int, dict[int, int]], int]:
+def _row_cols(label: CharLabel, transition) -> tuple[dict[int, dict[int, int]], int]:
     """One table row keyed by column index: sign(label) times the sum over
     torus labels gamma of (chi(gamma)/z_gamma) T(gamma), summed per column as
     integer coordinates at the column's conductor, over the returned
-    denominator. ``transition(gamma)`` gives T(gamma); by default it is read
-    from the cache of T, and ``char_table`` passes rows it holds for one
-    support at a time."""
+    denominator. ``transition(gamma)`` gives T(gamma) as (column index,
+    terms) pairs; ``char_table`` passes rows it holds for one support at a
+    time."""
     items = _schur_items(label.lam)
     den = math.lcm(*(c.denominator for _, c in items))
     sign = label.sign()
@@ -725,8 +724,8 @@ def char_table(n: int, q: int) -> CharTable:
     fill sets the entry at the row of lam^a and the column of mu^b to
     sigma_ab of the block entry at (lam, mu). ``character_row`` stays the
     direct route for any single row. Entries are stored at e_mu, and equal
-    entries are one shared object: one ``Cyclotomic`` is built per distinct
-    (conductor, terms, den).
+    entries are one shared object: the first ``Cyclotomic`` built of each
+    distinct (conductor, terms, den).
     """
     if n < 1:
         raise ValueError("rank must be positive")
@@ -741,7 +740,7 @@ def char_table(n: int, q: int) -> CharTable:
         raw = (e, den, *coords.items())
         v = seen.get(raw)
         if v is None:
-            v = seen[raw] = _interned(interned, e, coords, den)
+            v = seen[raw] = _shared(interned, Cyclotomic(e, coords, den))
         return v
 
     plan = _orbit_plan(q, n)
@@ -864,8 +863,8 @@ def ls_sum(label: CharLabel | MultiPartition) -> SymElement:
             continue
         ell = sum(len(bl) for _, bl in tl.gamma.assignment)
         factor = Fraction(w * (-1) ** (n - ell), tl.z)
-        for mu, (e, terms, _) in _power_theta_to_P_items(tl.gamma):
-            _acc(acc, mu, Cyclotomic(e, dict(terms)) * factor)
+        for mu, v in _power_theta_to_P_items(tl.gamma):
+            _acc(acc, mu, v * factor)
     big = conductor(q, n)
     lifted = {mu: v.lift(big) for mu, v in acc.items()}
     return SymElement(q, n, "P", lifted).scale((-1) ** exponent)

@@ -461,7 +461,7 @@ def _check_orthogonality(args: argparse.Namespace) -> tuple[bool, str]:
                     False,
                     f"rows {mp_text(table.rows[i].lam)} and "
                     f"{mp_text(table.rows[j].lam)}: weighted inner product "
-                    f"{acc!r}, expected {expected}",
+                    f"{cyc_text(acc)}, expected {expected}",
                 )
     return True, f"all {m}x{m} row pairs orthonormal at (n, q) = ({n}, {q})"
 

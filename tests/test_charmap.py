@@ -498,8 +498,8 @@ def test_table_entries_are_the_character_rows_at_column_conductors(n: int, q: in
 def fresh_transition_caches():
     import ennola.charmap as cm
 
-    caches = (cm._columns, cm._green_cols, cm._power_theta_to_P_cols, cm._P_to_power_theta_items)
-    tables = (cm._T_TERMS, cm._TRANSPOSED, cm._TRANSPOSED_VALUES)
+    caches = (cm._columns, cm._green_cols, cm._power_theta_to_P_cols, cm._transposed)
+    tables = (cm._VALUES, cm._TRANSPOSED)
     for fn in caches:
         fn.cache_clear()
     for table in tables:
@@ -541,14 +541,17 @@ def test_char_table_4_4_identity_column_is_the_hook_degrees() -> None:
 
 
 def _direct_mismatches(table, rows) -> list[int]:
-    # the direct route of character_row, each row summed from T, compared
-    # with the table at the column conductors e_mu
-    from ennola.charmap import _columns, _row_cols
+    # the direct route of character_row, each row summed from the cache of
+    # T, compared with the table at the column conductors e_mu
+    from ennola.charmap import _columns, _power_theta_to_P_cols, _row_cols
+
+    def transition(gamma):
+        return [(k, v.terms) for k, v in zip(*_power_theta_to_P_cols(gamma))]
 
     _, _, conductors = _columns(table.q, table.n)
     bad = []
     for i in rows:
-        acc, den = _row_cols(table.rows[i])
+        acc, den = _row_cols(table.rows[i], transition)
         direct = [Cyclotomic(e, acc.get(k, {}), den) for k, e in enumerate(conductors)]
         if any(v.conductor != e or v != w for v, w, e in zip(table.values[i], direct, conductors)):
             bad.append(i)
@@ -698,7 +701,7 @@ def test_char_table_leaves_the_T_cache_as_it_found_it(fresh_transition_caches) -
 
     gamma = enumerate_mp(2, "theta", 4)[3]
     cm._power_theta_to_P_cols(gamma)
-    tables = (cm._T_TERMS, cm._TRANSPOSED, cm._TRANSPOSED_VALUES)
+    tables = (cm._VALUES, cm._TRANSPOSED)
 
     def contents() -> list:
         return [[(key, id(v)) for key, v in table.items()] for table in tables]
@@ -948,19 +951,20 @@ def test_P_to_power_theta_keys_are_shared() -> None:
 
 def test_transition_caches_hold_each_distinct_value_once(fresh_transition_caches) -> None:
     # T and its transpose repeat few values: after every class of degree at
-    # most 4 at q=2 is converted, each value is one object in its cache, and
-    # each transposed value is still stored at its column's conductor e_mu
+    # most 4 at q=2 is converted, each value is one object per stored form
+    # (conductor, terms, den) in its cache, and each transposed value is
+    # still stored at its column's conductor e_mu
     from ennola.charmap import _P_to_power_theta_items, _power_theta_to_P_cols
 
     classes = [mu for n in range(1, 5) for mu in enumerate_mp(2, "phi", n)]
     for mu in classes:
         assert to_basis(pi_class(mu), "p_theta").coeffs
-    terms: dict[tuple, tuple] = {}
+    terms: dict[tuple, Cyclotomic] = {}
     entries = 0
     for n in range(1, 5):
         for gamma in enumerate_mp(2, "theta", n):
-            for _, t in _power_theta_to_P_cols(gamma):
-                assert terms.setdefault(t, t) is t
+            for t in _power_theta_to_P_cols(gamma)[1]:
+                assert terms.setdefault((t.conductor, t.terms, t.den), t) is t
                 entries += 1
     values: dict[tuple, Cyclotomic] = {}
     transposed = 0
@@ -970,7 +974,23 @@ def test_transition_caches_hold_each_distinct_value_once(fresh_transition_caches
             assert v.conductor == e
             assert values.setdefault((v.conductor, v.terms, v.den), v) is v
             transposed += 1
-    assert (entries, len(terms), transposed, len(values)) == (2971, 121, 2971, 312)
+    assert (entries, len(terms), transposed, len(values)) == (2971, 114, 2971, 312)
+
+
+def test_power_theta_to_P_values_are_the_shared_objects_of_their_stored_forms() -> None:
+    # every call returns the cached values themselves, so the identity-keyed
+    # memo of _expand_linear decomposes each distinct value once
+    import ennola.charmap as cm
+
+    for n in range(1, 4):
+        _, index, conductors = cm._columns(3, n)
+        for gamma in enumerate_mp(3, "theta", n):
+            first, again = cm._power_theta_to_P_items(gamma), cm._power_theta_to_P_items(gamma)
+            assert first and len(first) == len(again)
+            for (mu, v), (nu, w) in zip(first, again):
+                assert mu is nu and v is w
+                assert isinstance(v, Cyclotomic) and v.conductor == conductors[index[mu]]
+                assert cm._VALUES[(v.conductor, v.terms, v.den)] is v
 
 
 @pytest.mark.parametrize("n, q", [(3, 3), (4, 2)])

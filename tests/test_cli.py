@@ -534,6 +534,11 @@ def test_verify_orthogonality_detects_a_perturbed_entry(capsys, monkeypatch):
     assert code == 1
     last = mp_text(real(2, 3).rows[-1].lam)
     assert out.startswith("FAIL orthogonality: rows ") and last in out
+    # the inner product is written as exact text, not as the dense repr of
+    # its coordinates at the common conductor; the first pair that fails is
+    # the first row against the perturbed one, which should be orthogonal
+    detail = out.splitlines()[0]
+    assert "Cyclotomic(" not in detail and detail.endswith(", expected 0")
 
 
 def test_verify_sameprod_4_2_stdout_is_pinned(capsys):
