@@ -21,8 +21,11 @@ orbits: one row entry is chosen per block, and the entries multiply. The step
 P -> p_theta does not: since the characteristic map is an isometry, it is T,
 the p_theta -> P transition, conjugated, transposed and scaled by the squared
 norms. Both transitions store each entry at its class's column conductor e_mu,
-as one shared ``Cyclotomic`` per stored form, and ``to_basis`` alone writes the
-P side at the common conductor N.
+as one shared ``Cyclotomic`` per stored form. Arithmetic runs at the conductor
+its operands bring: a basis change or product writes its results at the lcm of
+the conductors of its inputs and of the map values it reads, and the
+degree-n common conductor N serves only the exponent ring of ``_build_T``,
+the Galois plan and output.
 """
 
 from __future__ import annotations
@@ -430,7 +433,7 @@ def _exponents(form: tuple, big: int, den: int) -> list[tuple[int, int]]:
     return [(i * step, x * scale) for i, x in terms]
 
 
-def _expand_linear(coeffs: dict[MultiPartition, Cyclotomic], items_of, floor: int) -> dict:
+def _expand_linear(coeffs: dict[MultiPartition, Cyclotomic], items_of) -> dict:
     """Apply a linear map given on basis elements by ``items_of`` to the
     coefficients of an element; zero results are dropped. This is every
     basis change of ``to_basis``, and, with ``items_of`` multiplying one
@@ -438,8 +441,8 @@ def _expand_linear(coeffs: dict[MultiPartition, Cyclotomic], items_of, floor: in
     ``circ_product``.
 
     Products and sums are integer coordinates over exponents mod L, L the lcm
-    of floor and of the conductors that the coefficients and the map's values
-    carry (rational values count as conductor 1), over one common
+    of the conductors that the coefficients and the map's values carry
+    (rational values count as conductor 1), over one common
     denominator. Each distinct map value (by identity; ``rows`` keeps every
     one alive for the call) is decomposed and written at L once, and each
     distinct accumulated vector is reduced and built once, so equal results
@@ -451,7 +454,7 @@ def _expand_linear(coeffs: dict[MultiPartition, Cyclotomic], items_of, floor: in
         for _, v in items:
             if id(v) not in forms:
                 forms[id(v)] = _coords(v)
-    big = math.lcm(floor, *(c.conductor for c, _ in rows), *(n for n, _, _ in forms.values()))
+    big = math.lcm(*(c.conductor for c, _ in rows), *(n for n, _, _ in forms.values()))
     den_c = math.lcm(*(c.den for c, _ in rows))
     den_v = math.lcm(*(d for _, _, d in forms.values()))
     exps = {key: _exponents(form, big, den_v) for key, form in forms.items()}
@@ -484,8 +487,9 @@ _STEPS = {
 def to_basis(elem: SymElement, basis: str) -> SymElement:
     """Rewrite an element in another basis; every route is exact: ``pi``
     shares the coefficients of ``P``, and other routes pass through ``p_theta``.
-    A step with ``P`` at either end writes its results at least at the
-    degree-n common conductor N."""
+    Each step writes its results at the lcm of the conductors of the
+    coefficients it reads and of the transition values it uses: a class
+    indicator's ``p_theta`` image lies at the class's column conductor e_mu."""
     if basis not in _BASIS_KIND:
         raise ValueError(f"unknown basis {basis!r}")
     if elem.basis == basis:
@@ -494,8 +498,7 @@ def to_basis(elem: SymElement, basis: str) -> SymElement:
     coeffs = elem.coeffs
     if src != dst:
         for step in [(src, dst)] if (src, dst) in _STEPS else [(src, "p_theta"), ("p_theta", dst)]:
-            floor = conductor(elem.q, elem.n) if "P" in step else 1
-            coeffs = _expand_linear(coeffs, _STEPS[step], floor)
+            coeffs = _expand_linear(coeffs, _STEPS[step])
     return SymElement(elem.q, elem.n, basis, coeffs)
 
 
@@ -580,9 +583,11 @@ def _row_cols(label: CharLabel, transition) -> tuple[dict[int, dict[int, int]], 
 
 def character_row(label: CharLabel | MultiPartition) -> SymElement:
     """The irreducible character of a label, as coefficients on class
-    indicators, at the common conductor: sign(label) times its Schur
-    element in the Hall-Littlewood basis, the direct route for any single
-    row, where ``char_table`` fills most entries by Galois action."""
+    indicators: sign(label) times its Schur element in the Hall-Littlewood
+    basis, the direct route for any single row, where ``char_table`` fills
+    most entries by Galois action. Every coefficient is written at one
+    conductor, the lcm of the column conductors of T(gamma)'s support over
+    the torus labels gamma of the Schur expansion."""
     label = label if isinstance(label, CharLabel) else CharLabel(label)
     return SymElement(label.q, label.n, "pi", expand_schur(label).scale(label.sign()).coeffs)
 
@@ -818,7 +823,6 @@ def _dl_torus_sum(nu: MultiPartition) -> SymElement:
     one ``_green_cols`` holds for T, keyed by column index."""
     q = nu.q
     n = mp_size(nu)
-    big = conductor(q, n)
     cols, _, _ = _columns(q, n)
     blocks = [(orb, c) for orb, lam in nu.assignment for c in lam]
     levels = [orb.size * c for orb, c in blocks]
@@ -826,9 +830,9 @@ def _dl_torus_sum(nu: MultiPartition) -> SymElement:
     acc: dict[MultiPartition, Cyclotomic] = {}
     for residues in iproduct(*(range(level_order(q, m)) for m in levels)):
         elts = [CyclicElt(q, m, k) for m, k in zip(levels, residues)]
-        theta = Cyclotomic.from_rational(1, big)
+        theta = Cyclotomic.from_rational(1)
         for xi, x in zip(chars, elts):
-            theta = theta * char_eval(xi, x).lift(big)
+            theta = theta * char_eval(xi, x)
         key = []
         for m, x in zip(levels, elts):
             orb = orbit_of("phi", x)
@@ -865,9 +869,7 @@ def ls_sum(label: CharLabel | MultiPartition) -> SymElement:
         factor = Fraction(w * (-1) ** (n - ell), tl.z)
         for mu, v in _power_theta_to_P_items(tl.gamma):
             _acc(acc, mu, v * factor)
-    big = conductor(q, n)
-    lifted = {mu: v.lift(big) for mu, v in acc.items()}
-    return SymElement(q, n, "P", lifted).scale((-1) ** exponent)
+    return SymElement(q, n, "P", acc).scale((-1) ** exponent)
 
 
 def inner_product(a: SymElement, b: SymElement) -> Cyclotomic:
@@ -946,10 +948,11 @@ def circ_product(a: SymElement, b: SymElement) -> SymElement:
 
     The product is ``_expand_linear`` of the left factor's coefficients
     under the map sending gamma_1 to the sum of c_2 p_(gamma_1 gamma_2) over
-    the right factor's terms c_2 p_gamma_2, with floor 1: results live at the
-    lcm L of the conductors the two factors' coefficients carry, each
-    reduced once and written at L. gamma_1 gamma_2 is the multipartition of
-    the sorted union of the two labels' (size, residue, part) blocks.
+    the right factor's terms c_2 p_gamma_2: results live at the lcm L of the
+    conductors the two factors' coefficients carry, each reduced once and
+    written at L; for two class indicators, L is lcm(e_mu1, e_mu2).
+    gamma_1 gamma_2 is the multipartition of the sorted union of the two
+    labels' (size, residue, part) blocks.
     """
     if a.q != b.q:
         raise ValueError("mismatched q")
@@ -965,4 +968,4 @@ def circ_product(a: SymElement, b: SymElement) -> SymElement:
         k1 = blocks(g1)
         return [(mp_of_blocks("theta", q, tuple(sorted(k1 + k2))), v) for k2, v in right_blocks]
 
-    return SymElement(q, a.n + b.n, "p_theta", _expand_linear(left, times_right, 1))
+    return SymElement(q, a.n + b.n, "p_theta", _expand_linear(left, times_right))

@@ -656,10 +656,11 @@ def _validate(args: argparse.Namespace) -> None:
     if getattr(args, "max_group_order", 1) < 1:
         raise ValueError("max-group-order must be positive")
     if getattr(args, "command", "") == "decompose":
-        if args.kind in ("gelfand-graev", "model") and args.m is None:
-            raise ValueError(f"{args.kind} needs --m")
-        if args.kind == "sp-induction" and args.r is None:
-            raise ValueError("sp-induction needs --r")
+        needed, other = ("r", "m") if args.kind == "sp-induction" else ("m", "r")
+        if getattr(args, needed) is None:
+            raise ValueError(f"{args.kind} needs --{needed}")
+        if getattr(args, other) is not None:
+            raise ValueError(f"{args.kind} takes no --{other}")
 
 
 def main(argv: list[str] | None = None) -> int:

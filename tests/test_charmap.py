@@ -330,6 +330,20 @@ def test_weighted_torus_sum_degrees_positive() -> None:
             assert rational(entry) > 0
 
 
+@pytest.mark.parametrize("n, q", [(4, 3), (5, 2)])
+def test_weighted_torus_sum_is_the_conjugate_table_row_past_q_2(n: int, q: int) -> None:
+    # criterion 8 stops at q = 2 and n <= 3; here every label's torus sum is
+    # compared with the conjugate label's table row on every column
+    from ennola.charmap import ls_sum
+
+    table = char_table(n, q)
+    index = {label: i for i, label in enumerate(table.rows)}
+    for lam in enumerate_mp(q, "theta", n):
+        row = table.values[index[CharLabel(mp_conjugate(lam))]]
+        elem = ls_sum(lam)
+        assert [elem.coefficient(mu) for mu in table.cols] == list(row), lam
+
+
 def test_basis_roundtrips() -> None:
     rng = random.Random(20260101)
     for q, n in [(2, 2), (2, 3), (3, 2)]:
@@ -483,15 +497,32 @@ def _orbit_order(orb: OrbitId) -> int:
 @pytest.mark.parametrize("n, q", [(3, 3), (4, 2)])
 def test_table_entries_are_the_character_rows_at_column_conductors(n: int, q: int) -> None:
     # each entry is stored at e_mu, the lcm of the orders of the class's point
-    # orbits; character_row writes the same values at the common conductor
+    # orbits; character_row writes the same values at the lcm of e_mu over
+    # the support of T(gamma), gamma running over the label's Schur expansion
+    from ennola.charmap import _power_theta_to_P_items, _schur_items
+
     table = char_table(n, q)
-    big = conductor(q, n)
     for label, row in zip(table.rows, table.values):
         chi = character_row(label)
-        assert all(v.conductor == big for v in chi.coeffs.values())
+        support = {
+            mu for gamma, _ in _schur_items(label.lam) for mu, _ in _power_theta_to_P_items(gamma)
+        }
+        e = math.lcm(*(_orbit_order(orb) for mu in support for orb in mu.orbits()))
+        assert all(v.conductor == e for v in chi.coeffs.values())
         for mu, v in zip(table.cols, row):
             assert v.conductor == math.lcm(*(_orbit_order(orb) for orb in mu.orbits()))
             assert v == chi.coefficient(mu)
+
+
+@pytest.mark.parametrize("n, q", [(3, 3), (2, 4), (4, 2), (2, 9)])
+def test_class_indicator_power_sums_are_stored_at_the_column_conductor(n: int, q: int) -> None:
+    # a basis change runs at the conductor its inputs bring: the indicator of
+    # mu is rational, and its p_theta image reads only the transpose's column
+    # at mu, so every coefficient is stored at e_mu and none at a multiple
+    for mu in enumerate_mp(q, "phi", n):
+        e = math.lcm(*(_orbit_order(orb) for orb in mu.orbits()))
+        image = to_basis(pi_class(mu), "p_theta")
+        assert image.coeffs and all(v.conductor == e for v in image.coeffs.values()), mu
 
 
 @pytest.fixture
@@ -898,7 +929,7 @@ def test_P_to_power_theta_matches_cyclotomic_reference(q: int, n: int) -> None:
 
 def test_power_theta_to_P_lifts_nothing(monkeypatch) -> None:
     # T is stored at the column conductors, and to_basis writes each result
-    # at the common conductor directly, without lifting an entry of T
+    # at the lcm of e_mu over T(gamma)'s support, without lifting an entry of T
     calls = []
     real = Cyclotomic.lift
 
@@ -908,10 +939,11 @@ def test_power_theta_to_P_lifts_nothing(monkeypatch) -> None:
 
     monkeypatch.setattr(Cyclotomic, "lift", counted)
     q, n = 3, 3
-    big = conductor(q, n)
     for gamma in enumerate_mp(q, "theta", n):
         image = to_basis(power_theta(gamma), "P")
-        assert image.coeffs and all(v.conductor == big for v in image.coeffs.values())
+        # one input term, so the image's support is T(gamma)'s
+        e = math.lcm(*(_orbit_order(orb) for mu in image.coeffs for orb in mu.orbits()))
+        assert image.coeffs and all(v.conductor == e for v in image.coeffs.values())
     assert calls == []
 
 
@@ -1030,7 +1062,7 @@ def test_cross_check_routes_stay_on_cyclotomic_arithmetic() -> None:
 
 
 PIN_SIZES = [(2, 1), (2, 2), (2, 3), (3, 2), (3, 3), (4, 2)]
-PINNED_FORMS = "2b722b3a89cd79b506c96f941e6efbbcddc58c4228fdd9efe916e4f48fae4f84"
+PINNED_FORMS = "d39e835e15799279d505603d08b49dff47b49da12aeff2f608eba95bad8228bd"
 PIN_COEFFICIENTS = [
     Cyclotomic.from_rational(1),
     Cyclotomic.root(3) * Fraction(1, 2),
@@ -1078,7 +1110,7 @@ def test_to_basis_stored_forms_are_pinned() -> None:
 # every pair of the benchmark's products workload at q = 2, and the pairs of
 # sizes (1, 1) and (1, 2) at q = 3
 CIRC_PIN_PAIRS = [(2, na, nb) for na in range(1, 4) for nb in range(1, 5 - na)] + [(3, 1, 1), (3, 1, 2)]
-PINNED_CIRC_FORMS = "08bdd20c0b3902e16900d37ff9b90739da346c46cc6562169f5b557ce620b4d2"
+PINNED_CIRC_FORMS = "895ec9097dc64baeadae9e4660978e57153fc87d4f45c9506a572358f99c4831"
 
 
 def test_circ_product_stored_forms_are_pinned() -> None:
@@ -1094,6 +1126,20 @@ def test_circ_product_stored_forms_are_pinned() -> None:
                 for key, v in sorted(prod.coeffs.items(), key=lambda kv: kv[0].sort_key()):
                     digest.update(repr((key.sort_key(), v.conductor, v.terms, v.den)).encode())
     assert digest.hexdigest() == PINNED_CIRC_FORMS
+
+
+def test_circ_product_of_indicators_is_stored_at_the_lcm_of_their_conductors() -> None:
+    # each factor's p_theta image is stored at its class's conductor, so the
+    # product runs at lcm(e_ma, e_mb) and at no larger conductor
+    pairs = 0
+    for q, na, nb in CIRC_PIN_PAIRS:
+        for ma in enumerate_mp(q, "phi", na):
+            for mb in enumerate_mp(q, "phi", nb):
+                e = math.lcm(*(_orbit_order(orb) for orb in ma.orbits() + mb.orbits()))
+                prod = circ_product(pi_class(ma), pi_class(mb))
+                assert prod.coeffs and all(v.conductor == e for v in prod.coeffs.values()), (ma, mb)
+                pairs += 1
+    assert pairs == 368
 
 
 def test_products_build_each_distinct_result_once(monkeypatch) -> None:

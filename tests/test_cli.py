@@ -601,6 +601,10 @@ def test_verify_converts_internal_assertions_to_fail(capsys, monkeypatch):
         ["decompose", "model", "--m", "2", "--q", "2"],
         ["decompose", "gelfand-graev", "--q", "2"],
         ["decompose", "sp-induction", "--q", "3"],
+        # each valid without its last flag, which belongs to another kind
+        ["decompose", "gelfand-graev", "--m", "2", "--q", "2", "--r", "3"],
+        ["decompose", "model", "--m", "2", "--q", "3", "--r", "1"],
+        ["decompose", "sp-induction", "--r", "1", "--q", "3", "--m", "2"],
         ["verify", "unsym", "--n", "3", "--q", "3"],
     ],
 )
