@@ -25,7 +25,11 @@ as one shared ``Cyclotomic`` per stored form. Arithmetic runs at the conductor
 its operands bring: a basis change or product writes its results at the lcm of
 the conductors of its inputs and of the map values it reads, and the
 degree-n common conductor N serves only the exponent ring of ``_build_T``,
-the Galois plan and output.
+the Galois plan and output. A one-term change, a basis element times a
+rational c over a row whose values share one conductor that c's conductor
+divides, is read off the row: each result is a row value times c, and for
+c = 1 the row's own value, so a class indicator's p_theta image is its
+column of the transpose, object for object.
 """
 
 from __future__ import annotations
@@ -447,6 +451,13 @@ def _expand_linear(coeffs: dict[MultiPartition, Cyclotomic], items_of) -> dict:
     one alive for the call) is decomposed and written at L once, and each
     distinct accumulated vector is reduced and built once, so equal results
     share one object.
+
+    One term needs no arithmetic: if ``coeffs`` is a single basis element
+    times a rational c, and every value of its row (which lists each target
+    once) is stored at one conductor e that c's conductor divides, then L = e
+    and each result is that value times c, already in its stored form at e.
+    Each distinct value is scaled once, and for c = 1 the results are the
+    row's own values, as for a class indicator's column of the transpose of T.
     """
     rows = [(c, items_of(mp)) for mp, c in coeffs.items()]
     forms: dict[int, tuple] = {}
@@ -455,6 +466,18 @@ def _expand_linear(coeffs: dict[MultiPartition, Cyclotomic], items_of) -> dict:
             if id(v) not in forms:
                 forms[id(v)] = _coords(v)
     big = math.lcm(*(c.conductor for c, _ in rows), *(n for n, _, _ in forms.values()))
+    if len(rows) == 1 and rows[0][0].is_rational() and all(n == big for n, _, _ in forms.values()):
+        c, items = rows[0]
+        a, b = c.rational_value().as_integer_ratio()
+        scaled: dict[int, Cyclotomic] = {}
+        out = {}
+        for target, v in items:
+            w = scaled.get(id(v))
+            if w is None:
+                w = scaled[id(v)] = v._scaled(a, b) if isinstance(v, Cyclotomic) else c * v
+            if w:
+                out[target] = w
+        return out
     den_c = math.lcm(*(c.den for c, _ in rows))
     den_v = math.lcm(*(d for _, _, d in forms.values()))
     exps = {key: _exponents(form, big, den_v) for key, form in forms.items()}
@@ -489,7 +512,11 @@ def to_basis(elem: SymElement, basis: str) -> SymElement:
     shares the coefficients of ``P``, and other routes pass through ``p_theta``.
     Each step writes its results at the lcm of the conductors of the
     coefficients it reads and of the transition values it uses: a class
-    indicator's ``p_theta`` image lies at the class's column conductor e_mu."""
+    indicator's ``p_theta`` image lies at the class's column conductor e_mu.
+    A step from one basis element times a rational c, over a row at one
+    conductor that c's conductor divides, reads its results off the row
+    (``_expand_linear``): the indicator's image holds the transpose's own
+    values."""
     if basis not in _BASIS_KIND:
         raise ValueError(f"unknown basis {basis!r}")
     if elem.basis == basis:

@@ -661,6 +661,11 @@ def _validate(args: argparse.Namespace) -> None:
             raise ValueError(f"{args.kind} needs --{needed}")
         if getattr(args, other) is not None:
             raise ValueError(f"{args.kind} takes no --{other}")
+        if args.kind == "gelfand-graev" and args.allow_even_q:
+            raise ValueError("gelfand-graev takes no --allow-even-q")
+    if getattr(args, "command", "") == "verify":
+        if args.m is not None and args.check not in ("divsum", "degree-sum", "even-sum", "all"):
+            raise ValueError(f"{args.check} takes no --m")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from _oracles import identity_column_entry
 from ennola.charmap import (
+    _STEPS,
     CharLabel,
     SymElement,
     ch,
@@ -1142,32 +1143,45 @@ def test_circ_product_of_indicators_is_stored_at_the_lcm_of_their_conductors() -
     assert pairs == 368
 
 
-def test_products_build_each_distinct_result_once(monkeypatch) -> None:
+def test_products_build_each_distinct_result_once(monkeypatch, fresh_transition_caches) -> None:
     # the 288 products pairs at q = 2: each map value is decomposed once per
-    # _expand_linear call and each distinct result is built once, so the
-    # pairs make at most 14000 Cyclotomic constructions; decomposing per item
-    # and building per result made 24795 with warm caches and 25099 cold.
-    # An upper bound holds either way.
-    built = 0
-    init = Cyclotomic.__init__
+    # _expand_linear call, each distinct result is built once, and a one-term
+    # basis change (each factor's p_theta image) reads its results off its
+    # row, so the pairs make at most 9000 Cyclotomic constructions and 30000
+    # _mul_into calls, with the transition caches cold and warm: 8793 and
+    # 29826 in a fresh process, 8239 and 27387 warm. Reducing one-term changes
+    # through the integer kernel made 13817 and 39126 cold, 13263 and 36687
+    # warm; decomposing per item and building per result made 25099
+    # constructions cold and 24795 warm.
+    import ennola.charmap as cm
+
+    counts = {"built": 0, "mul_into": 0}
+    init, mul_into = Cyclotomic.__init__, cm._mul_into
 
     def counting(self, *args, **kwargs) -> None:
-        nonlocal built
-        built += 1
+        counts["built"] += 1
         init(self, *args, **kwargs)
 
+    def counting_mul_into(*args) -> None:
+        counts["mul_into"] += 1
+        mul_into(*args)
+
     monkeypatch.setattr(Cyclotomic, "__init__", counting)
-    pairs = 0
-    for q, na, nb in CIRC_PIN_PAIRS:
-        if q != 2:
-            continue
-        for ma in enumerate_mp(q, "phi", na):
-            for mb in enumerate_mp(q, "phi", nb):
-                a, b = pi_class(ma), pi_class(mb)
-                assert star_product(a, b) == circ_product(a, b), (ma, mb)
-                pairs += 1
-    assert pairs == 288
-    assert built <= 14000, built
+    monkeypatch.setattr(cm, "_mul_into", counting_mul_into)
+    for caches in ("cold", "warm"):
+        counts.update(built=0, mul_into=0)
+        pairs = 0
+        for q, na, nb in CIRC_PIN_PAIRS:
+            if q != 2:
+                continue
+            for ma in enumerate_mp(q, "phi", na):
+                for mb in enumerate_mp(q, "phi", nb):
+                    a, b = pi_class(ma), pi_class(mb)
+                    assert star_product(a, b) == circ_product(a, b), (ma, mb)
+                    pairs += 1
+        assert pairs == 288
+        assert counts["built"] <= 9000, (caches, counts)
+        assert counts["mul_into"] <= 30000, (caches, counts)
 
 
 # Coefficients at conductors outside conductor(2, n), mixed with rational ones
@@ -1213,3 +1227,53 @@ def test_circ_product_is_bilinear_and_commutative(data) -> None:
     assert circ_product(a + a2, b) == ab + circ_product(a2, b)
     assert circ_product(b, a) == ab
     assert circ_product(a.scale(x), b) == ab.scale(x)
+
+
+def _scaled_row(step: tuple[str, str], key, c: Cyclotomic) -> list:
+    """The step's row at key times c in plain exactnum arithmetic, each
+    product written at L, the lcm of c's conductor and the row's conductors
+    (a rational value counts as conductor 1), as (key, stored form) pairs in
+    row order; zero products are dropped."""
+    row = _STEPS[step](key)
+    big = math.lcm(c.conductor, *(v.conductor for _, v in row if isinstance(v, Cyclotomic)))
+    return [(k, (w.conductor, w.terms, w.den)) for k, v in row if (w := (c * v).lift(big))]
+
+
+def _stored(elem: SymElement) -> list:
+    return [(k, (v.conductor, v.terms, v.den)) for k, v in elem.coeffs.items()]
+
+
+ONE_TERM_COEFFICIENTS = [
+    Cyclotomic.from_rational(1),
+    Cyclotomic.from_rational(-3),
+    Cyclotomic.from_rational(Fraction(1, 2)),
+    Cyclotomic.from_rational(2, 9),
+]
+
+
+@pytest.mark.parametrize("q, n", PIN_SIZES)
+def test_one_term_basis_changes_match_scaled_rows(q: int, n: int) -> None:
+    # a one-term element with a rational coefficient c over a row at one
+    # conductor e that c's conductor divides reads its image off the row;
+    # T's rows, at mixed column conductors, and c at conductor 9 over rows at
+    # a conductor it does not divide take the general route. Either way the
+    # image is the row times c, each value stored at L; a class indicator's
+    # image holds the transpose's own values.
+    for src, dst in _STEPS:
+        for key in enumerate_mp(q, "phi" if src == "P" else "theta", n):
+            for c in ONE_TERM_COEFFICIENTS:
+                image = to_basis(SymElement(q, n, src, {key: c}), dst)
+                assert _stored(image) == _scaled_row((src, dst), key, c), (src, dst, key, c)
+                if src == "P" and c == 1:
+                    assert all(image.coeffs[k] is v for k, v in _STEPS[src, dst](key)), key
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_one_term_basis_changes_with_any_coefficient_match_scaled_rows(data) -> None:
+    n = data.draw(st.sampled_from([1, 2, 3]))
+    src, dst = data.draw(st.sampled_from(sorted(_STEPS)))
+    key = data.draw(st.sampled_from(enumerate_mp(2, "phi" if src == "P" else "theta", n)))
+    c = data.draw(coefficients())
+    image = to_basis(SymElement(2, n, src, {key: c}), dst)
+    assert _stored(image) == _scaled_row((src, dst), key, c)

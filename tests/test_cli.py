@@ -463,6 +463,13 @@ def test_verify_degree_sum_example(capsys):
     assert "value 12" in out
 
 
+@pytest.mark.parametrize("check", ["divsum", "even-sum", "all"])
+def test_verify_size_graded_checks_take_m(capsys, check):
+    code, out, _ = run(capsys, "verify", check, "--n", "2", "--q", "2", "--m", "2")
+    assert code == 0
+    assert out.startswith("PASS ")
+
+
 def test_verify_all_small(capsys):
     code, out, err = run(capsys, "verify", "all", "--n", "2", "--q", "2")
     assert code == 0
@@ -605,7 +612,15 @@ def test_verify_converts_internal_assertions_to_fail(capsys, monkeypatch):
         ["decompose", "gelfand-graev", "--m", "2", "--q", "2", "--r", "3"],
         ["decompose", "model", "--m", "2", "--q", "3", "--r", "1"],
         ["decompose", "sp-induction", "--r", "1", "--q", "3", "--m", "2"],
+        ["decompose", "gelfand-graev", "--m", "2", "--q", "2", "--allow-even-q"],
         ["verify", "unsym", "--n", "3", "--q", "3"],
+        # each reads only --n
+        ["verify", "class-equation", "--n", "2", "--q", "2", "--m", "9"],
+        ["verify", "orthogonality", "--n", "2", "--q", "2", "--m", "9"],
+        ["verify", "sameprod", "--n", "2", "--q", "2", "--m", "9"],
+        ["verify", "dl", "--n", "2", "--q", "2", "--m", "9"],
+        ["verify", "unsym", "--n", "2", "--q", "2", "--m", "9"],
+        ["verify", "fs", "--n", "2", "--q", "2", "--m", "9"],
     ],
 )
 def test_invalid_configuration_exits_two(capsys, argv):
