@@ -7,6 +7,13 @@ matrices and Frobenius-Schur indicators are counted one element at a time.
 None of it consults the symmetric-function machinery, so agreement with the
 combinatorial class data and the character table is a genuine cross-check.
 
+Two cost bounds decide which (n, q) it accepts, and a refusal is a ValueError
+naming its bound: enumeration refuses a group of more than ``max_order``
+elements (default ``DEFAULT_MAX_ORDER``), and the field data that every entry
+point shares refuses a tower field F_{q^(2L)}, L = lcm(1..n), of more than
+``MAX_FIELD_ORDER`` elements. So (3, 2), (2, q) for q <= 16 and (1, q) for
+q <= 256 are accepted, and (4, 2) and (3, 3) are not.
+
 Field elements are integers packing base-p coefficient vectors of the
 quotient by a fixed monic modulus: the lexicographically least primitive
 irreducible of the right degree, so every construction is deterministic.
@@ -34,9 +41,8 @@ from .orbits import OrbitId, enumerate_orbits, level_order
 from .partitions import conjugate
 from .reptables import degree_hook, degree_sum
 
-SUPPORTED = ((1, 2), (1, 3), (1, 4), (1, 5), (2, 2), (2, 3), (3, 2))
-LARGE = ((3, 2),)
 DEFAULT_MAX_ORDER = 100_000
+MAX_FIELD_ORDER = 1 << 16
 
 IntPoly = tuple[int, ...]
 
@@ -281,11 +287,18 @@ class _Context:
     """Shared field data for one (n, q): tower field, embeddings, orbit polynomials."""
 
     def __init__(self, n: int, q: int) -> None:
+        # K holds every eigenvalue of an n x n matrix over F_{q^2}; the first
+        # test spares computing q^(2L) when L is large
+        L = math.lcm(*range(1, n + 1))
+        if 2 * L > MAX_FIELD_ORDER.bit_length() or q ** (2 * L) > MAX_FIELD_ORDER:
+            raise ValueError(
+                f"(n, q) = ({n}, {q}): tower field of {q}^{2 * L} elements exceeds "
+                f"MAX_FIELD_ORDER = {MAX_FIELD_ORDER}"
+            )
         p, e0 = _prime_power(q)
         self.n = n
         self.q = q
         self.F, self.conj = _small(q)
-        L = math.lcm(*range(1, n + 1))
         self.K = field(p, 2 * e0 * L)
         self._embed_small()
         self.orbit_polys: dict[OrbitId, tuple[IntPoly, ...]] = {}
@@ -375,15 +388,6 @@ def _context(n: int, q: int) -> _Context:
     return _Context(n, q)
 
 
-def _check_supported(n: int, q: int, allow_large: bool) -> None:
-    if (n, q) not in SUPPORTED:
-        raise ValueError(f"(n, q) = ({n}, {q}) is outside the supported sizes")
-    if (n, q) in LARGE and not allow_large:
-        raise ValueError(
-            f"(n, q) = ({n}, {q}) is large; pass allow_large=True to enumerate it"
-        )
-
-
 def _is_unitary(F: GF, conj: tuple[int, ...], g: tuple[tuple[int, ...], ...]) -> bool:
     n = len(g)
     for i in range(n):
@@ -425,9 +429,7 @@ def _group_entries(n: int, q: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     return tuple(out)
 
 
-def enumerate_group(
-    n: int, q: int, allow_large: bool = False, max_order: int = DEFAULT_MAX_ORDER
-) -> list[UMatrix]:
+def enumerate_group(n: int, q: int, max_order: int = DEFAULT_MAX_ORDER) -> list[UMatrix]:
     """All matrices satisfying the unitarity equation, built row by row.
 
     Rows are chosen orthonormal under the hermitian form sum(u_i v_i^q); the
@@ -436,10 +438,12 @@ def enumerate_group(
     >>> len(enumerate_group(1, 2))
     3
     """
-    _check_supported(n, q, allow_large)
     order = unitary_group_order(q, n)
     if order > max_order:
-        raise ValueError(f"group order {order} exceeds the bound {max_order}")
+        raise ValueError(
+            f"(n, q) = ({n}, {q}): group order {order} exceeds "
+            f"max_order = {max_order} (--max-group-order)"
+        )
     return [UMatrix(q, g) for g in _group_entries(n, q)]
 
 
@@ -540,8 +544,6 @@ def classify(g: UMatrix) -> MultiPartition:
     2
     """
     n, q = g.n, g.q
-    if (n, q) not in SUPPORTED:
-        raise ValueError(f"(n, q) = ({n}, {q}) is outside the supported sizes")
     ctx = _context(n, q)
     F = ctx.F
     chi = _charpoly(F, g.entries)
@@ -635,8 +637,6 @@ def class_representative(mu: MultiPartition) -> ClassRepresentative:
     if mu.kind != "phi":
         raise ValueError("class labels are indexed by point orbits")
     n, q = mp_size(mu), mu.q
-    if (n, q) not in SUPPORTED:
-        raise ValueError(f"(n, q) = ({n}, {q}) is outside the supported sizes")
     ctx = _context(n, q)
     F = ctx.F
     blocks = []
@@ -664,10 +664,10 @@ def class_representative(mu: MultiPartition) -> ClassRepresentative:
 
 
 def class_census(
-    n: int, q: int, allow_large: bool = False, max_order: int = DEFAULT_MAX_ORDER
+    n: int, q: int, max_order: int = DEFAULT_MAX_ORDER
 ) -> dict[MultiPartition, int]:
     """Brute class sizes, checked against the centralizer-order formula."""
-    counts = Counter(classify(g) for g in enumerate_group(n, q, allow_large, max_order))
+    counts = Counter(classify(g) for g in enumerate_group(n, q, max_order))
     order = unitary_group_order(q, n)
     expected = enumerate_mp(q, "phi", n)
     if sorted(counts, key=lambda m: m.sort_key()) != list(expected):
@@ -678,9 +678,7 @@ def class_census(
     return {mu: counts[mu] for mu in expected}
 
 
-def symmetric_count(
-    n: int, q: int, allow_large: bool = False, max_order: int = DEFAULT_MAX_ORDER
-) -> int:
+def symmetric_count(n: int, q: int, max_order: int = DEFAULT_MAX_ORDER) -> int:
     """Number of symmetric matrices in the group.
 
     >>> symmetric_count(2, 2)
@@ -688,7 +686,7 @@ def symmetric_count(
     """
     return sum(
         1
-        for g in enumerate_group(n, q, allow_large, max_order)
+        for g in enumerate_group(n, q, max_order)
         if g.entries == _mat_transpose(g.entries)
     )
 
@@ -728,7 +726,7 @@ class SymmetricProfile(Record):
 
 
 def symmetric_profile(
-    n: int, q: int, allow_large: bool = False, max_order: int = DEFAULT_MAX_ORDER
+    n: int, q: int, max_order: int = DEFAULT_MAX_ORDER
 ) -> SymmetricProfile:
     """Brute symmetric count with the closed-form orbit stabilizer orders.
 
@@ -737,7 +735,7 @@ def symmetric_profile(
     the diagonal-entry stabilizer and the symplectic group), and the orbit
     sizes they predict must tile the brute count exactly.
     """
-    count = symmetric_count(n, q, allow_large, max_order)
+    count = symmetric_count(n, q, max_order)
     if q % 2:
         if n % 2:
             o = 2 * q ** ((n - 1) ** 2 // 4) * math.prod(
@@ -767,24 +765,18 @@ def symmetric_profile(
     return SymmetricProfile(n, q, count, stabilizers, sizes)
 
 
-def involution_count(
-    n: int, q: int, allow_large: bool = False, max_order: int = DEFAULT_MAX_ORDER
-) -> int:
+def involution_count(n: int, q: int, max_order: int = DEFAULT_MAX_ORDER) -> int:
     """Number of group elements squaring to the identity (identity included)."""
-    ctx = _context(n, q)
+    group = enumerate_group(n, q, max_order)
+    F = _context(n, q).F
     eye = _identity(n)
-    return sum(
-        1
-        for g in enumerate_group(n, q, allow_large, max_order)
-        if _mat_mul(ctx.F, g.entries, g.entries) == eye
-    )
+    return sum(1 for g in group if _mat_mul(F, g.entries, g.entries) == eye)
 
 
 def twisted_fs(
     n: int,
     q: int,
     iota: str = "transpose_inverse",
-    allow_large: bool = False,
     max_order: int = DEFAULT_MAX_ORDER,
 ) -> dict[CharLabel, int]:
     """Twisted Frobenius-Schur indicators from the brute group and the table.
@@ -798,10 +790,11 @@ def twisted_fs(
     """
     if iota not in ("transpose_inverse", "trivial"):
         raise ValueError(f"unknown twist {iota!r}")
+    group = enumerate_group(n, q, max_order)
     ctx = _context(n, q)
     F = ctx.F
     counts: Counter[MultiPartition] = Counter()
-    for g in enumerate_group(n, q, allow_large, max_order):
+    for g in group:
         partner = _mat_conj(ctx, g.entries) if iota == "transpose_inverse" else g.entries
         counts[classify(UMatrix(q, _mat_mul(F, g.entries, partner)))] += 1
     table = char_table(n, q)
@@ -822,9 +815,9 @@ def twisted_fs(
     if iota == "transpose_inverse":
         if any(v != 1 for v in out.values()):
             raise AssertionError("a transpose-inverse indicator is not 1")
-        fixed = symmetric_count(n, q, allow_large, max_order)
+        fixed = symmetric_count(n, q, max_order)
     else:
-        fixed = involution_count(n, q, allow_large, max_order)
+        fixed = involution_count(n, q, max_order)
     weighted = sum(v * degree_hook(label.lam) for label, v in out.items())
     if weighted != fixed:
         raise AssertionError("indicator sum does not count the twisted fixed points")

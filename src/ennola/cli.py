@@ -26,7 +26,6 @@ from fractions import Fraction
 
 from .bruteforce import (
     DEFAULT_MAX_ORDER,
-    SUPPORTED,
     _prime_power,
     class_census,
     symmetric_count,
@@ -359,8 +358,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 def _cmd_bruteforce(args: argparse.Namespace) -> int:
     n, q = args.n, args.q
-    limits = {"allow_large": args.allow_large, "max_order": args.max_group_order}
-    census = class_census(n, q, **limits)
+    census = class_census(n, q, args.max_group_order)
     header = ["label", "size"]
 
     def rows() -> list[list[str]]:
@@ -369,8 +367,8 @@ def _cmd_bruteforce(args: argparse.Namespace) -> int:
     if args.format == "csv":
         # csv lists the census alone; only json and pretty print the counts below
         return _emit(args, dict, header, rows)
-    count = symmetric_count(n, q, **limits)
-    indicators = twisted_fs(n, q, "transpose_inverse", **limits)
+    count = symmetric_count(n, q, args.max_group_order)
+    indicators = twisted_fs(n, q, "transpose_inverse", args.max_group_order)
     order = unitary_group_order(q, n)
     fs = list(indicators.values())
     return _emit(
@@ -399,7 +397,7 @@ def _cmd_bruteforce(args: argparse.Namespace) -> int:
 
 
 class _Unsupported(Exception):
-    """A check needs the brute-force model at a size it does not cover."""
+    """A check needs the brute-force model at a size the model refuses."""
 
 
 def _check_divsum(args: argparse.Namespace) -> tuple[bool, str]:
@@ -426,16 +424,15 @@ def _check_class_equation(args: argparse.Namespace) -> tuple[bool, str]:
     if total != order:
         return False, f"class sizes sum to {total}, group order is {order}"
     detail = f"{len(mus)} class sizes tile the group order {order}"
-    if (n, q) in SUPPORTED:
-        census = class_census(n, q, allow_large=True, max_order=args.max_group_order)
-        for mu, size in census.items():
-            if size != class_size(mu):
-                return (
-                    False,
-                    f"brute size {size} at {mp_text(mu)}, formula {class_size(mu)}",
-                )
-        detail += "; the brute-force census agrees class by class"
-    return True, detail
+    try:
+        census = class_census(n, q, args.max_group_order)
+    except ValueError:
+        # the brute-force model refuses this size; the census clause is left out
+        return True, detail
+    for mu, size in census.items():
+        if size != class_size(mu):
+            return False, f"brute size {size} at {mp_text(mu)}, formula {class_size(mu)}"
+    return True, detail + "; the brute-force census agrees class by class"
 
 
 def _check_orthogonality(args: argparse.Namespace) -> tuple[bool, str]:
@@ -517,9 +514,10 @@ def _check_dl(args: argparse.Namespace) -> tuple[bool, str]:
 
 def _check_unsym(args: argparse.Namespace) -> tuple[bool, str]:
     n, q = args.n, args.q
-    if (n, q) not in SUPPORTED:
-        raise _Unsupported(f"no brute-force model at (n, q) = ({n}, {q})")
-    brute = symmetric_count(n, q, allow_large=True, max_order=args.max_group_order)
+    try:
+        brute = symmetric_count(n, q, args.max_group_order)
+    except ValueError as exc:
+        raise _Unsupported(str(exc)) from exc
     total = degree_sum(n, q)
     if brute != total:
         return False, f"symmetric count {brute}, degree sum {total}"
@@ -528,11 +526,10 @@ def _check_unsym(args: argparse.Namespace) -> tuple[bool, str]:
 
 def _check_fs(args: argparse.Namespace) -> tuple[bool, str]:
     n, q = args.n, args.q
-    if (n, q) not in SUPPORTED:
-        raise _Unsupported(f"no brute-force model at (n, q) = ({n}, {q})")
-    indicators = twisted_fs(
-        n, q, "transpose_inverse", allow_large=True, max_order=args.max_group_order
-    )
+    try:
+        indicators = twisted_fs(n, q, "transpose_inverse", args.max_group_order)
+    except ValueError as exc:
+        raise _Unsupported(str(exc)) from exc
     bad = [label for label, v in indicators.items() if v != 1]
     if bad:
         return False, f"indicator {indicators[bad[0]]} at {mp_text(bad[0].lam)}"
@@ -631,12 +628,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=2, help="matrix rank")
     p.add_argument("--q", type=int, default=2, help="base field order")
     p.add_argument("--m", type=int, help="total size for size-graded checks")
-    p.add_argument("--max-group-order", type=int, default=DEFAULT_MAX_ORDER)
+    p.add_argument("--max-group-order", type=int)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("bruteforce", help="matrix-enumeration ground truth")
     add_common(p, "n", "q", "format")
-    p.add_argument("--allow-large", action="store_true")
     p.add_argument("--max-group-order", type=int, default=DEFAULT_MAX_ORDER)
     p.set_defaults(func=_cmd_bruteforce)
 
@@ -653,7 +649,8 @@ def _validate(args: argparse.Namespace) -> None:
     r = getattr(args, "r", None)
     if r is not None and r < 0:
         raise ValueError(f"r must be nonnegative, got {r}")
-    if getattr(args, "max_group_order", 1) < 1:
+    bound = getattr(args, "max_group_order", None)
+    if bound is not None and bound < 1:
         raise ValueError("max-group-order must be positive")
     if getattr(args, "command", "") == "decompose":
         needed, other = ("r", "m") if args.kind == "sp-induction" else ("m", "r")
@@ -666,6 +663,11 @@ def _validate(args: argparse.Namespace) -> None:
     if getattr(args, "command", "") == "verify":
         if args.m is not None and args.check not in ("divsum", "degree-sum", "even-sum", "all"):
             raise ValueError(f"{args.check} takes no --m")
+        # the flag defaults to None so that explicit use is seen here
+        if args.max_group_order is None:
+            args.max_group_order = DEFAULT_MAX_ORDER
+        elif args.check not in ("class-equation", "unsym", "fs", "all"):
+            raise ValueError(f"{args.check} takes no --max-group-order")
 
 
 def main(argv: list[str] | None = None) -> int:

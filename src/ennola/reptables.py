@@ -157,15 +157,6 @@ class DegreeRecord(Record):
         _set(self, "height", height)
         _set(self, "odd_conjugate", odd_conjugate)
 
-    def to_row(self) -> list:
-        return [
-            self.label.to_json(),
-            self.degree,
-            self.tau_parity,
-            self.height,
-            self.odd_conjugate,
-        ]
-
 
 def degree_records(m: int, q: int) -> tuple[DegreeRecord, ...]:
     """Degree data for every character of the rank-m group, canonical order."""

@@ -102,7 +102,7 @@ def rational(v: Cyclotomic) -> Fraction:
 
 @criterion(1, "brute-force class data matches the partition model", budget=10)
 def test_criterion_01_class_data() -> None:
-    for n, q in ((1, 2), (1, 3), (2, 2), (2, 3)):
+    for n, q in ((1, 2), (1, 3), (2, 2), (2, 3), (2, 4), (2, 5), (3, 2)):
         census = class_census(n, q)
         labels = enumerate_mp(q, "phi", n)
         assert list(census) == list(labels)
@@ -152,7 +152,7 @@ def test_criterion_04_degree_sums() -> None:
             total = degree_sum(m, q)
             assert total == degree_sum_closed_form(m, q) == degree_sum_delta(m, q)
     assert degree_sum(2, 2) == 12
-    for n, q in ((1, 2), (1, 3), (2, 2), (2, 3)):
+    for n, q in ((1, 2), (1, 3), (2, 2), (2, 3), (2, 4), (2, 5), (3, 2)):
         assert symmetric_count(n, q) == degree_sum(n, q)
 
 
@@ -287,7 +287,7 @@ def test_criterion_11_non_character() -> None:
 
 @criterion(12, "twisted indicators are all one and count symmetric elements", budget=60)
 def test_criterion_12_indicators() -> None:
-    for n, q in ((1, 2), (2, 2), (2, 3)):
+    for n, q in ((1, 2), (2, 2), (2, 3), (2, 4), (2, 5), (3, 2)):
         indicators = twisted_fs(n, q, "transpose_inverse")
         assert len(indicators) == len(enumerate_mp(q, "theta", n))
         assert set(indicators.values()) == {1}

@@ -7,9 +7,12 @@ cyclic groups.
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from ennola.bruteforce import (
+    MAX_FIELD_ORDER,
     ClassRepresentative,
     UMatrix,
     class_census,
@@ -91,10 +94,8 @@ def test_group_order(n: int, q: int, order: int) -> None:
     assert all(g.is_unitary() for g in group)
 
 
-def test_large_group_behind_flag() -> None:
-    with pytest.raises(ValueError):
-        enumerate_group(3, 2)
-    group = enumerate_group(3, 2, allow_large=True)
+def test_large_group_needs_no_flag() -> None:
+    group = enumerate_group(3, 2)
     assert len(group) == 648
 
 
@@ -102,9 +103,33 @@ def test_unsupported_sizes() -> None:
     with pytest.raises(ValueError):
         enumerate_group(4, 2)
     with pytest.raises(ValueError):
-        enumerate_group(2, 4)
-    with pytest.raises(ValueError):
         enumerate_group(2, 3, max_order=50)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: twisted_fs(4, 2),
+        lambda: involution_count(4, 2),
+        lambda: classify(UMatrix(2, tuple(tuple(int(i == j) for j in range(4)) for i in range(4)))),
+    ],
+    ids=["twisted_fs", "involution_count", "classify"],
+)
+def test_oversize_tower_field_is_refused_before_it_is_built(call) -> None:
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"tower field of 2\^24 elements exceeds MAX_FIELD_ORDER"):
+        call()
+    assert time.perf_counter() - start < 1
+
+
+def test_field_bound_admits_a_field_of_its_own_size() -> None:
+    assert MAX_FIELD_ORDER == 256**2
+    census = class_census(1, 256)
+    assert len(census) == 257 and set(census.values()) == {1}
+    with pytest.raises(ValueError, match=r"257\^2 elements"):
+        class_census(1, 257)
+    with pytest.raises(ValueError, match="group order 258 exceeds max_order = 257"):
+        class_census(1, 257, max_order=257)
 
 
 def test_is_unitary_detects_failure() -> None:
@@ -215,7 +240,7 @@ def test_census_matches_class_equation(n: int, q: int) -> None:
 
 
 def test_census_large() -> None:
-    census = class_census(3, 2, allow_large=True)
+    census = class_census(3, 2)
     assert len(census) == 24
     assert sum(census.values()) == 648
 
@@ -242,7 +267,7 @@ def test_symmetric_count_values() -> None:
     assert symmetric_count(1, 2) == 3
     assert symmetric_count(2, 2) == 12
     assert symmetric_count(2, 3) == 36
-    assert symmetric_count(3, 2, allow_large=True) == 108
+    assert symmetric_count(3, 2) == 108
 
 
 def test_symmetric_profile_orbits() -> None:
@@ -255,7 +280,7 @@ def test_symmetric_profile_orbits() -> None:
     prof = symmetric_profile(1, 3)
     assert prof.stabilizer_orders == (2, 2)
     assert prof.orbit_sizes == (2, 2)
-    prof = symmetric_profile(3, 2, allow_large=True)
+    prof = symmetric_profile(3, 2)
     assert prof.stabilizer_orders == (6,)
     assert prof.orbit_sizes == (108,)
     blob = prof.to_json()

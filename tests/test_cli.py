@@ -6,6 +6,7 @@ import csv
 import hashlib
 import io
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -496,7 +497,9 @@ def test_verify_all_skips_brute_checks_off_model(capsys):
     assert code == 0
     lines = out.strip().splitlines()
     assert sum(line.startswith("SKIP ") for line in lines) == 0
-    code, out, _ = run(capsys, "verify", "all", "--n", "2", "--q", "5")
+    code, out, _ = run(
+        capsys, "verify", "all", "--n", "2", "--q", "5", "--max-group-order", "500"
+    )
     assert code == 0
     skipped = [line for line in out.strip().splitlines() if line.startswith("SKIP ")]
     assert len(skipped) == 2
@@ -604,7 +607,6 @@ def test_verify_converts_internal_assertions_to_fail(capsys, monkeypatch):
         ["classes", "--n", "0", "--q", "2"],
         ["chartable", "--n", "1", "--q", "1"],
         ["bruteforce", "--n", "4", "--q", "2"],
-        ["bruteforce", "--n", "3", "--q", "2"],
         ["decompose", "model", "--m", "2", "--q", "2"],
         ["decompose", "gelfand-graev", "--q", "2"],
         ["decompose", "sp-induction", "--q", "3"],
@@ -621,6 +623,13 @@ def test_verify_converts_internal_assertions_to_fail(capsys, monkeypatch):
         ["verify", "dl", "--n", "2", "--q", "2", "--m", "9"],
         ["verify", "unsym", "--n", "2", "--q", "2", "--m", "9"],
         ["verify", "fs", "--n", "2", "--q", "2", "--m", "9"],
+        # none reads the group-order bound of the brute-force model
+        ["verify", "divsum", "--max-group-order", "5"],
+        ["verify", "orthogonality", "--max-group-order", "5"],
+        ["verify", "degree-sum", "--max-group-order", "5"],
+        ["verify", "even-sum", "--max-group-order", "5"],
+        ["verify", "sameprod", "--max-group-order", "5"],
+        ["verify", "dl", "--max-group-order", "5"],
     ],
 )
 def test_invalid_configuration_exits_two(capsys, argv):
@@ -631,14 +640,59 @@ def test_invalid_configuration_exits_two(capsys, argv):
     assert doc["schema"] == 1 and doc["error"]
 
 
-def test_bruteforce_large_size_behind_flag(capsys):
-    code, out, _ = run(
-        capsys, "bruteforce", "--n", "3", "--q", "2", "--allow-large", "--format", "csv"
-    )
+def test_bruteforce_large_size_needs_no_flag(capsys):
+    code, out, _ = run(capsys, "bruteforce", "--n", "3", "--q", "2", "--format", "csv")
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
     assert len(rows) == 25
     assert sum(int(r[1]) for r in rows[1:]) == 648
+
+
+@pytest.mark.parametrize(
+    "argv,error",
+    [
+        (
+            ["bruteforce", "--n", "4", "--q", "2"],
+            "(n, q) = (4, 2): tower field of 2^24 elements exceeds MAX_FIELD_ORDER = 65536",
+        ),
+        (
+            ["bruteforce", "--n", "3", "--q", "3"],
+            "(n, q) = (3, 3): tower field of 3^12 elements exceeds MAX_FIELD_ORDER = 65536",
+        ),
+        (
+            ["verify", "unsym", "--n", "4", "--q", "2"],
+            "(n, q) = (4, 2): tower field of 2^24 elements exceeds MAX_FIELD_ORDER = 65536",
+        ),
+        (
+            ["verify", "fs", "--n", "4", "--q", "2"],
+            "(n, q) = (4, 2): tower field of 2^24 elements exceeds MAX_FIELD_ORDER = 65536",
+        ),
+        (
+            ["verify", "fs", "--n", "3", "--q", "3"],
+            "(n, q) = (3, 3): tower field of 3^12 elements exceeds MAX_FIELD_ORDER = 65536",
+        ),
+        (
+            ["bruteforce", "--n", "2", "--q", "5", "--max-group-order", "500"],
+            "(n, q) = (2, 5): group order 720 exceeds max_order = 500 (--max-group-order)",
+        ),
+    ],
+)
+def test_brute_refusals_exit_two_at_once_and_name_their_bound(capsys, argv, error):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert json.loads(err.strip().splitlines()[-1])["error"] == error
+
+
+def test_verify_all_names_the_bound_on_its_skip_lines(capsys):
+    code, out, _ = run(capsys, "verify", "all", "--n", "3", "--q", "3")
+    assert code == 0
+    lines = out.splitlines()
+    refusal = "(n, q) = (3, 3): tower field of 3^12 elements exceeds MAX_FIELD_ORDER = 65536"
+    assert lines[-2:] == [f"SKIP unsym: {refusal}", f"SKIP fs: {refusal}"]
+    # class-equation leaves out its census clause on the same refusal
+    assert lines[1] == "PASS class-equation: 56 class sizes tile the group order 24192"
 
 
 def test_unknown_command_raises_system_exit():

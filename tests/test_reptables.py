@@ -180,8 +180,6 @@ def test_degree_records_shape() -> None:
     for r in records:
         assert r.degree == r.polynomial.eval(2)
         assert r.tau_parity in (0, 1)
-        row = r.to_row()
-        assert row[1] == r.degree
 
 
 @pytest.mark.parametrize("q,m", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)])
