@@ -275,9 +275,24 @@ class UMatrix(Record):
         return {"q": self.q, "n": self.n, "entries": [list(row) for row in self.entries]}
 
 
+def _check_field_order(n: int, q: int) -> None:
+    """Refuse (n, q) when the tower field F_{q^(2L)}, L = lcm(1..n), that
+    holds every eigenvalue of an n x n matrix over F_{q^2} has more than
+    ``MAX_FIELD_ORDER`` elements. The first test spares computing q^(2L)
+    when L is large."""
+    L = math.lcm(*range(1, n + 1))
+    if 2 * L > MAX_FIELD_ORDER.bit_length() or q ** (2 * L) > MAX_FIELD_ORDER:
+        raise ValueError(
+            f"(n, q) = ({n}, {q}): tower field of {q}^{2 * L} elements exceeds "
+            f"MAX_FIELD_ORDER = {MAX_FIELD_ORDER}"
+        )
+
+
 @cache
 def _small(q: int) -> tuple[GF, tuple[int, ...]]:
-    """The field of q^2 elements with its entrywise q-power conjugation table."""
+    """The field of q^2 elements with its entrywise q-power conjugation table:
+    the tower field of n = 1, refused as that is."""
+    _check_field_order(1, q)
     p, e0 = _prime_power(q)
     F = field(p, 2 * e0)
     return F, tuple(F.frob(a, e0) for a in range(F.order))
@@ -287,14 +302,8 @@ class _Context:
     """Shared field data for one (n, q): tower field, embeddings, orbit polynomials."""
 
     def __init__(self, n: int, q: int) -> None:
-        # K holds every eigenvalue of an n x n matrix over F_{q^2}; the first
-        # test spares computing q^(2L) when L is large
+        _check_field_order(n, q)
         L = math.lcm(*range(1, n + 1))
-        if 2 * L > MAX_FIELD_ORDER.bit_length() or q ** (2 * L) > MAX_FIELD_ORDER:
-            raise ValueError(
-                f"(n, q) = ({n}, {q}): tower field of {q}^{2 * L} elements exceeds "
-                f"MAX_FIELD_ORDER = {MAX_FIELD_ORDER}"
-            )
         p, e0 = _prime_power(q)
         self.n = n
         self.q = q

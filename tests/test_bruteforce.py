@@ -122,6 +122,14 @@ def test_oversize_tower_field_is_refused_before_it_is_built(call) -> None:
     assert time.perf_counter() - start < 1
 
 
+def test_entry_field_beyond_the_bound_is_refused_at_once() -> None:
+    # F_{q^2} for q = 65537 would be built with tables of q^2 entries
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"\(1, 65537\): tower field of 65537\^2 elements exceeds"):
+        UMatrix(65537, ((1,),)).is_unitary()
+    assert time.perf_counter() - start < 1
+
+
 def test_field_bound_admits_a_field_of_its_own_size() -> None:
     assert MAX_FIELD_ORDER == 256**2
     census = class_census(1, 256)

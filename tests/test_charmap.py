@@ -530,8 +530,10 @@ def test_class_indicator_power_sums_are_stored_at_the_column_conductor(n: int, q
 def fresh_transition_caches():
     import ennola.charmap as cm
 
-    caches = (cm._columns, cm._green_cols, cm._power_theta_to_P_cols, cm._transposed)
-    tables = (cm._VALUES, cm._TRANSPOSED)
+    caches = (
+        cm._columns, cm._green_cols, cm._power_theta_to_P_cols, cm._transposed, cm._hall_options
+    )
+    tables = (cm._VALUES, cm._TRANSPOSED, cm._BUILT)
     for fn in caches:
         fn.cache_clear()
     for table in tables:
@@ -1145,14 +1147,16 @@ def test_circ_product_of_indicators_is_stored_at_the_lcm_of_their_conductors() -
 
 def test_products_build_each_distinct_result_once(monkeypatch, fresh_transition_caches) -> None:
     # the 288 products pairs at q = 2: each map value is decomposed once per
-    # _expand_linear call, each distinct result is built once, and a one-term
-    # basis change (each factor's p_theta image) reads its results off its
-    # row, so the pairs make at most 9000 Cyclotomic constructions and 30000
-    # _mul_into calls, with the transition caches cold and warm: 8793 and
-    # 29826 in a fresh process, 8239 and 27387 warm. Reducing one-term changes
-    # through the integer kernel made 13817 and 39126 cold, 13263 and 36687
-    # warm; decomposing per item and building per result made 25099
-    # constructions cold and 24795 warm.
+    # _expand_linear call, each distinct result is built once while the
+    # result table holds it, and a one-term basis change (each factor's
+    # p_theta image) reads its results off its row, so the pairs make at most
+    # 2300 Cyclotomic constructions and 30000 _mul_into calls, with the
+    # caches cold and warm: 2204 and 29826 in a fresh process, 735 and 27387
+    # warm. Building each distinct result once per call made 8793
+    # constructions cold and 8239 warm; reducing one-term changes through the
+    # integer kernel made 13817 and 39126 cold, 13263 and 36687 warm;
+    # decomposing per item and building per result made 25099 constructions
+    # cold and 24795 warm.
     import ennola.charmap as cm
 
     counts = {"built": 0, "mul_into": 0}
@@ -1180,8 +1184,75 @@ def test_products_build_each_distinct_result_once(monkeypatch, fresh_transition_
                     assert star_product(a, b) == circ_product(a, b), (ma, mb)
                     pairs += 1
         assert pairs == 288
-        assert counts["built"] <= 9000, (caches, counts)
+        assert counts["built"] <= 2300, (caches, counts)
         assert counts["mul_into"] <= 30000, (caches, counts)
+
+
+def _products_pairs() -> list:
+    pairs = [
+        (ma, mb)
+        for q, na, nb in CIRC_PIN_PAIRS
+        if q == 2
+        for ma in enumerate_mp(q, "phi", na)
+        for mb in enumerate_mp(q, "phi", nb)
+    ]
+    assert len(pairs) == 288
+    return pairs
+
+
+def test_result_table_entries_are_fresh_builds_of_their_keys(fresh_transition_caches) -> None:
+    # a hit returns what a fresh build of its key returns
+    import ennola.charmap as cm
+    from ennola.exactnum import _reduced
+
+    for ma, mb in _products_pairs():
+        a, b = pi_class(ma), pi_class(mb)
+        assert star_product(a, b) == circ_product(a, b)
+    assert 0 < len(cm._BUILT) <= cm._BUILT_MAX
+    for (big, den, raw), v in cm._BUILT.items():
+        assert list(raw) == sorted(raw)
+        fresh = Cyclotomic(big, _reduced(big, raw), den)
+        assert (v.conductor, v.terms, v.den) == (fresh.conductor, fresh.terms, fresh.den)
+
+
+def test_one_vector_from_two_calls_is_one_object(fresh_transition_caches) -> None:
+    # circ_product commutes, and each factor order accumulates the same
+    # vectors in its own order; sorted terms key both to one table entry
+    import ennola.charmap as cm
+
+    f0, f1 = OrbitId("phi", 2, 1, 0), OrbitId("phi", 2, 1, 1)
+    a = pi_class(MultiPartition("phi", 2, ((f0, (1,)), (f1, (1,)))))
+    b = pi_class(MultiPartition("phi", 2, ((f0, (2,)),)))
+    ab, ba = circ_product(a, b), circ_product(b, a)
+    assert ab.coeffs and ab.coeffs.keys() == ba.coeffs.keys()
+    assert all(ab.coeffs[k] is ba.coeffs[k] for k in ab.coeffs)
+    table = {id(v) for v in cm._BUILT.values()}
+    assert all(id(v) in table for v in ab.coeffs.values())
+
+
+def test_result_table_never_exceeds_its_bound(monkeypatch, fresh_transition_caches) -> None:
+    # evictions leave the results unchanged
+    import ennola.charmap as cm
+
+    monkeypatch.setattr(cm, "_BUILT_MAX", 64)
+    for ma, mb in _products_pairs():
+        a, b = pi_class(ma), pi_class(mb)
+        assert star_product(a, b) == circ_product(a, b)
+        assert len(cm._BUILT) <= 64
+    assert len(cm._BUILT) == 64
+
+
+def test_hall_combine_items_classes_are_the_enumerated_objects(fresh_transition_caches) -> None:
+    import ennola.charmap as cm
+
+    q = 2
+    objects = {mp: mp for n in range(2, 5) for mp in enumerate_mp(q, "phi", n)}
+    for na in range(1, 4):
+        for nb in range(1, 5 - na):
+            for ma in enumerate_mp(q, "phi", na):
+                for mb in enumerate_mp(q, "phi", nb):
+                    items = cm._hall_combine_items(ma, mb)
+                    assert items and all(objects[lam] is lam for lam, _ in items)
 
 
 # Coefficients at conductors outside conductor(2, n), mixed with rational ones
