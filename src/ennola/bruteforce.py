@@ -51,7 +51,7 @@ def _prime_power(q: int) -> tuple[int, int]:
     """Split q as p^e with p prime; ValueError otherwise."""
     if q < 2:
         raise ValueError(f"{q} is not a prime power")
-    for p in range(2, q + 1):
+    for p in range(2, math.isqrt(q) + 1):
         if q % p == 0:
             e = 0
             m = q
@@ -61,7 +61,7 @@ def _prime_power(q: int) -> tuple[int, int]:
             if m != 1:
                 raise ValueError(f"{q} is not a prime power")
             return p, e
-    raise ValueError(f"{q} is not a prime power")
+    return q, 1
 
 
 def _ptrim(a: list[int]) -> IntPoly:
@@ -626,11 +626,6 @@ class ClassRepresentative(Record):
     matrix: UMatrix
     unitary: bool
 
-    def __init__(self, label: MultiPartition, matrix: UMatrix, unitary: bool) -> None:
-        _set(self, "label", label)
-        _set(self, "matrix", matrix)
-        _set(self, "unitary", unitary)
-
 
 def class_representative(mu: MultiPartition) -> ClassRepresentative:
     """Block-diagonal companion-matrix representative of a class label.
@@ -709,20 +704,6 @@ class SymmetricProfile(Record):
     count: int
     stabilizer_orders: tuple[int, ...]
     orbit_sizes: tuple[int, ...]
-
-    def __init__(
-        self,
-        n: int,
-        q: int,
-        count: int,
-        stabilizer_orders: tuple[int, ...],
-        orbit_sizes: tuple[int, ...],
-    ) -> None:
-        _set(self, "n", n)
-        _set(self, "q", q)
-        _set(self, "count", count)
-        _set(self, "stabilizer_orders", stabilizer_orders)
-        _set(self, "orbit_sizes", orbit_sizes)
 
     def to_json(self) -> dict:
         return {

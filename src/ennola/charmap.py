@@ -21,33 +21,34 @@ orbits: one row entry is chosen per block, and the entries multiply. The step
 P -> p_theta does not: since the characteristic map is an isometry, it is T,
 the p_theta -> P transition, conjugated, transposed and scaled by the squared
 norms. Both transitions store each entry at its class's column conductor e_mu,
-as one shared ``Cyclotomic`` per stored form. Arithmetic runs at the conductor
-its operands bring: a basis change or product writes its results at the lcm of
-the conductors of its inputs and of the map values it reads, and the
-degree-n common conductor N serves only the exponent ring of ``_build_T``,
-the Galois plan and output. A one-term change, a basis element times a
-rational c over a row whose values share one conductor that c's conductor
-divides, is read off the row: each result is a row value times c, and for
-c = 1 the row's own value, so a class indicator's p_theta image is its
-column of the transpose, object for object. Every other change and product
-accumulates integer vectors, and takes each result from ``_BUILT``, one
-table for the whole process keyed by (conductor, denominator, sorted
-exponent terms), bounded at ``_BUILT_MAX`` entries with the least recently
-used evicted. The Ennola product reads Hall polynomial values from a cache
-per (partition, partition, (-q)^d), and never from the tables of the
-characteristic map.
+as the one ``Cyclotomic`` that the cache ``_value`` holds for its stored form.
+Arithmetic runs at the conductor its operands bring: a basis change or
+product writes its results at the lcm of the conductors of its inputs and of
+the map values it reads, and the degree-n common conductor N serves only the
+exponent ring of ``_build_T``, the Galois plan and output. A one-term change,
+a basis element times a rational c over a row whose values share one
+conductor that c's conductor divides, is read off the row: each result is a
+row value times c, and for c = 1 the row's own value, so a class indicator's
+p_theta image is its column of the transpose, object for object. Every other
+change and product accumulates integer vectors, and takes each result from
+``_built``, one cache for the whole process keyed by (conductor, denominator,
+sorted exponent terms), bounded at ``_BUILT_MAX`` entries with the least
+recently used evicted. The Ennola product reads Hall polynomial values from a
+cache per (partition, partition, (-q)^d), and never from the tables of the
+characteristic map. Every memo that lives as long as the process is a
+``functools`` cache on the builder it memoises, so ``cache_info`` reports it
+and ``cache_clear`` empties it.
 """
 
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from itertools import product as iproduct
 
 from ._record import Record, _set
-from .exactnum import Cyclotomic, _reduced, _unit_generators
+from .exactnum import Cyclotomic, _reduced, _stored_form, _unit_generators
 from .multipartitions import (
     MultiPartition,
     centralizer_order,
@@ -249,12 +250,6 @@ def _class_conductor(q: int, orbits) -> int:
     return math.lcm(*(level_order(q, d) // math.gcd(k, level_order(q, d)) for d, k in orbits))
 
 
-def _shared(table: dict[tuple, Cyclotomic], v: Cyclotomic) -> Cyclotomic:
-    """The one ``Cyclotomic`` in ``table`` of v's stored form (conductor,
-    terms, den), which is v itself on first sight."""
-    return table.setdefault((v.conductor, v.terms, v.den), v)
-
-
 @cache
 def _columns(q: int, n: int) -> tuple[tuple[MultiPartition, ...], dict, tuple[int, ...]]:
     """The classes of degree n in table order, their column indices, and
@@ -330,29 +325,33 @@ def _build_T(gamma: MultiPartition, cols) -> tuple[tuple[int, tuple], ...]:
     return tuple((col, terms) for col, terms in entries if terms)
 
 
-# T and its transpose repeat few values, so their caches hold each distinct
-# value once; like the caches, these tables live as long as the process.
-# _VALUES maps a stored form (conductor, terms, den) to the one Cyclotomic
-# that T and its transpose store, and _TRANSPOSED maps (e_mu, T's terms,
-# a_mu z_gamma) to the transposed value; it is not keyed by T's value, since
-# equal values at different conductors compare equal.
-_VALUES: dict[tuple, Cyclotomic] = {}
-_TRANSPOSED: dict[tuple, Cyclotomic] = {}
+# T and its transpose repeat few values, so the caches below hold each
+# distinct value once, for as long as the process lives.
+@cache
+def _value(conductor: int, terms: tuple[tuple[int, int], ...], den: int) -> Cyclotomic:
+    """The one ``Cyclotomic`` that T and its transpose store at a stored form
+    (conductor, terms, den), built on its first sight."""
+    return Cyclotomic(conductor, dict(terms), den)
+
+
+@cache
+def _transposed_value(e: int, terms: tuple[tuple[int, int], ...], scale: int) -> Cyclotomic:
+    """conj(v)/scale for the value v of T stored at e with these terms: the
+    ``_value`` object of its stored form. Keyed by T's terms at e, not by
+    T's value, since equal values at different conductors compare equal."""
+    return _value(e, *_stored_form(_reduced(e, ((-j % e, x) for j, x in terms)), scale))
 
 
 @cache
 def _power_theta_to_P_cols(gamma: MultiPartition) -> tuple[tuple[int, ...], tuple[Cyclotomic, ...]]:
     """The cache of T: ``_build_T`` on every column, since the transpose
-    reads all of T, as its column indices and its values, each value the
-    ``_VALUES`` object of its stored form, built only on its first sight."""
+    reads all of T, as its column indices and its values, each value
+    ``_value(e_mu, terms, 1)``, the one object of its stored form."""
     _, _, conductors = _columns(gamma.q, mp_size(gamma))
     cols, values = [], []
     for col, terms in _build_T(gamma, range(len(conductors))):
-        v = _VALUES.get((conductors[col], terms, 1))
-        if v is None:
-            v = _shared(_VALUES, Cyclotomic(conductors[col], dict(terms)))
         cols.append(col)
-        values.append(v)
+        values.append(_value(conductors[col], terms, 1))
     return tuple(cols), tuple(values)
 
 
@@ -377,7 +376,8 @@ def _transposed(q: int, n: int) -> tuple[tuple[tuple[MultiPartition, Cyclotomic]
     conj(T[gamma, mu]) / (a_mu z_gamma), stored at the column conductor e_mu.
     Each torus label's row of T is walked once, in label order, and appended
     column by column. Each distinct (e_mu, terms, a_mu z_gamma) is conjugated
-    once, into the ``_VALUES`` object of its stored form.
+    once, by ``_transposed_value``, into the ``_value`` object of its stored
+    form.
     """
     cols, _, conductors = _columns(q, n)
     scale = [centralizer_order(mu) for mu in cols]
@@ -385,13 +385,7 @@ def _transposed(q: int, n: int) -> tuple[tuple[tuple[MultiPartition, Cyclotomic]
     for gamma in enumerate_mp(q, "theta", n):
         z = math.prod(z_stat(lam) for _, lam in gamma.assignment)
         for k, v in zip(*_power_theta_to_P_cols(gamma)):
-            e = conductors[k]
-            key = (e, v.terms, scale[k] * z)
-            w = _TRANSPOSED.get(key)
-            if w is None:
-                coords = _reduced(e, ((-j % e, x) for j, x in v.terms))
-                w = _TRANSPOSED[key] = _shared(_VALUES, Cyclotomic(e, coords, key[2]))
-            out[k].append((gamma, w))
+            out[k].append((gamma, _transposed_value(conductors[k], v.terms, scale[k] * z)))
     return tuple(map(tuple, out))
 
 
@@ -444,17 +438,21 @@ def _exponents(form: tuple, big: int, den: int) -> list[tuple[int, int]]:
     return [(i * step, x * scale) for i, x in terms]
 
 
-# The results of ``_expand_linear`` for the whole process: each accumulated
-# vector, keyed by (L, den, its sorted (exponent, integer) terms), to the one
-# ``Cyclotomic`` built of it. A result depends on its key alone, so a hit
-# returns what a fresh build would. At most _BUILT_MAX entries are kept, the
-# least recently used evicted first. Measured traffic (kernel results,
+# The bound of ``_built``, set from measured traffic (kernel results,
 # distinct keys): the 288 products pairs 14760 and 915, sameprod at (4, 3)
 # 92868 and 1684, at (5, 2) 121176 and 5384, at (5, 3) 1218180 and 11402, at
 # (6, 2) 846087 and 24961. At (6, 2), 4096 entries add 3 MB of peak RSS to a
 # per-call table, 8192 add 6 MB, and no bound 16 MB.
 _BUILT_MAX = 4096
-_BUILT: OrderedDict[tuple, Cyclotomic] = OrderedDict()
+
+
+@lru_cache(maxsize=_BUILT_MAX)
+def _built(big: int, den: int, terms: tuple[tuple[int, int], ...]) -> Cyclotomic:
+    """The one ``Cyclotomic`` of an accumulated vector of ``_expand_linear``,
+    its sorted (exponent, integer) terms mod big over den, for the whole
+    process. A result depends on its key alone, so a hit returns what a fresh
+    build would; the least recently used key is evicted first."""
+    return Cyclotomic(big, _reduced(big, terms), den)
 
 
 def _expand_linear(coeffs: dict[MultiPartition, Cyclotomic], items_of) -> dict:
@@ -469,10 +467,10 @@ def _expand_linear(coeffs: dict[MultiPartition, Cyclotomic], items_of) -> dict:
     (rational values count as conductor 1), over one common
     denominator. Each distinct map value (by identity; ``rows`` keeps every
     one alive for the call) is decomposed and written at L once. Each
-    accumulated vector is looked up in ``_BUILT``, the process-wide table
-    keyed by (L, den, sorted exponent terms) that holds at most
+    accumulated vector goes through ``_built``, the process-wide
+    ``lru_cache`` keyed by (L, den, sorted exponent terms) that holds at most
     ``_BUILT_MAX`` results, least recently used evicted first: a vector is
-    reduced and built only when the table does not hold it, so equal results
+    reduced and built only when the cache does not hold it, so equal results
     share one object across calls.
 
     One term needs no arithmetic: if ``coeffs`` is a single basis element
@@ -512,14 +510,7 @@ def _expand_linear(coeffs: dict[MultiPartition, Cyclotomic], items_of) -> dict:
     den = den_c * den_v
     out = {}
     for key, vec in acc.items():
-        raw = (big, den, tuple(sorted(vec.items())))
-        v = _BUILT.get(raw)
-        if v is None:
-            v = _BUILT[raw] = Cyclotomic(big, _reduced(big, raw[2]), den)
-            if len(_BUILT) > _BUILT_MAX:
-                _BUILT.popitem(last=False)
-        else:
-            _BUILT.move_to_end(raw)
+        v = _built(big, den, tuple(sorted(vec.items())))
         if v:
             out[key] = v
     return out
@@ -726,22 +717,6 @@ class CharTable(Record):
     values: tuple[tuple[Cyclotomic, ...], ...]
     class_sizes: tuple[int, ...]
 
-    def __init__(
-        self,
-        n: int,
-        q: int,
-        rows: tuple[CharLabel, ...],
-        cols: tuple[MultiPartition, ...],
-        values: tuple[tuple[Cyclotomic, ...], ...],
-        class_sizes: tuple[int, ...],
-    ) -> None:
-        _set(self, "n", n)
-        _set(self, "q", q)
-        _set(self, "rows", rows)
-        _set(self, "cols", cols)
-        _set(self, "values", values)
-        _set(self, "class_sizes", class_sizes)
-
     def rendered(self, render) -> list[list]:
         """The grid of values lifted to the common conductor N and passed
         through ``render``: each distinct entry object is lifted and rendered
@@ -789,6 +764,8 @@ def char_table(n: int, q: int) -> CharTable:
         raise ValueError("rank must be positive")
     rows = tuple(CharLabel(lam) for lam in enumerate_mp(q, "theta", n))
     cols, _, conductors = _columns(q, n)
+    # entries are interned here, not in ``_value``, so the build leaves the
+    # process caches as it found them
     interned: dict[tuple, Cyclotomic] = {}
     # the same coordinates recur across rows: each is brought to its stored
     # form once
@@ -798,7 +775,8 @@ def char_table(n: int, q: int) -> CharTable:
         raw = (e, den, *coords.items())
         v = seen.get(raw)
         if v is None:
-            v = seen[raw] = _shared(interned, Cyclotomic(e, coords, den))
+            c = Cyclotomic(e, coords, den)
+            v = seen[raw] = interned.setdefault((c.conductor, c.terms, c.den), c)
         return v
 
     plan = _orbit_plan(q, n)

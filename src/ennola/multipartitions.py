@@ -253,14 +253,6 @@ class TorusLabel(Record):
     z: int
     weyl_class_size: int
 
-    def __init__(
-        self, gamma: MultiPartition, factors: tuple[int, ...], z: int, weyl_class_size: int
-    ) -> None:
-        _set(self, "gamma", gamma)
-        _set(self, "factors", factors)
-        _set(self, "z", z)
-        _set(self, "weyl_class_size", weyl_class_size)
-
 
 class TorusData(NamedTuple):
     weyl_order: int

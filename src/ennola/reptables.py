@@ -25,7 +25,7 @@ import math
 from fractions import Fraction
 from functools import cache
 
-from ._record import Record, _set
+from ._record import Record
 from .charmap import CharLabel, SymElement, circ_product, to_basis
 from .exactnum import Cyclotomic, QPoly, cyclotomic_polynomial
 from .multipartitions import MultiPartition, enumerate_mp, mp_conjugate, mp_size, mp_stats
@@ -141,22 +141,6 @@ class DegreeRecord(Record):
     height: int
     odd_conjugate: int
 
-    def __init__(
-        self,
-        label: CharLabel,
-        polynomial: QPoly,
-        degree: int,
-        tau_parity: int,
-        height: int,
-        odd_conjugate: int,
-    ) -> None:
-        _set(self, "label", label)
-        _set(self, "polynomial", polynomial)
-        _set(self, "degree", degree)
-        _set(self, "tau_parity", tau_parity)
-        _set(self, "height", height)
-        _set(self, "odd_conjugate", odd_conjugate)
-
 
 def degree_records(m: int, q: int) -> tuple[DegreeRecord, ...]:
     """Degree data for every character of the rank-m group, canonical order."""
@@ -165,12 +149,12 @@ def degree_records(m: int, q: int) -> tuple[DegreeRecord, ...]:
         label = CharLabel(lam)
         out.append(
             DegreeRecord(
-                label=label,
-                polynomial=degree_polynomial(lam),
-                degree=degree_hook(lam),
-                tau_parity=label.tau(),
-                height=mp_stats(lam).height,
-                odd_conjugate=mp_stats(mp_conjugate(lam)).odd,
+                label,
+                degree_polynomial(lam),
+                degree_hook(lam),
+                label.tau(),
+                mp_stats(lam).height,
+                mp_stats(mp_conjugate(lam)).odd,
             )
         )
     return tuple(out)
@@ -316,13 +300,6 @@ class ModelDecomposition(Record):
     m: int
     q: int
     parts: tuple[tuple[int, tuple[CharLabel, ...]], ...]
-
-    def __init__(
-        self, m: int, q: int, parts: tuple[tuple[int, tuple[CharLabel, ...]], ...]
-    ) -> None:
-        _set(self, "m", m)
-        _set(self, "q", q)
-        _set(self, "parts", parts)
 
     def to_json(self) -> dict:
         return {

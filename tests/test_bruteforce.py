@@ -15,6 +15,7 @@ from ennola.bruteforce import (
     MAX_FIELD_ORDER,
     ClassRepresentative,
     UMatrix,
+    _prime_power,
     class_census,
     class_representative,
     classify,
@@ -82,6 +83,26 @@ def test_field_rejects_bad_arguments() -> None:
         field(6, 2)
     with pytest.raises(ValueError):
         field(2, 0)
+
+
+@pytest.mark.parametrize("q", [1000000007, 999999999989])
+def test_a_large_prime_splits_at_once(q: int) -> None:
+    # trial division stops at the square root of q
+    start = time.perf_counter()
+    assert _prime_power(q) == (q, 1)
+    assert time.perf_counter() - start < 1
+
+
+def test_prime_power_splits() -> None:
+    assert [_prime_power(q) for q in (2, 4, 9, 25, 49, 243, 1024)] == [
+        (2, 1), (2, 2), (3, 2), (5, 2), (7, 2), (3, 5), (2, 10)
+    ]
+
+
+@pytest.mark.parametrize("q", [6, 12, 1000000006, 0, 1])
+def test_prime_power_refuses_other_numbers(q: int) -> None:
+    with pytest.raises(ValueError, match=f"{q} is not a prime power"):
+        _prime_power(q)
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,7 @@ import math
 import random
 import weakref
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -531,18 +531,14 @@ def fresh_transition_caches():
     import ennola.charmap as cm
 
     caches = (
-        cm._columns, cm._green_cols, cm._power_theta_to_P_cols, cm._transposed, cm._hall_options
+        cm._columns, cm._green_cols, cm._power_theta_to_P_cols, cm._transposed, cm._hall_options,
+        cm._value, cm._transposed_value, cm._built,
     )
-    tables = (cm._VALUES, cm._TRANSPOSED, cm._BUILT)
     for fn in caches:
         fn.cache_clear()
-    for table in tables:
-        table.clear()
     yield
     for fn in caches:
         fn.cache_clear()
-    for table in tables:
-        table.clear()
 
 
 def test_a_wrong_column_conductor_fails_the_exact_division(monkeypatch, fresh_transition_caches):
@@ -729,27 +725,27 @@ def test_char_table_builds_T_only_on_representative_columns(
 
 
 def test_char_table_leaves_the_T_cache_as_it_found_it(fresh_transition_caches) -> None:
-    # neither the cache of T nor the tables that intern the values of T and
-    # its transpose take anything from the table build
+    # neither the cache of T nor the caches that intern the values of T and
+    # its transpose take anything from the table build, nor are they read
     import ennola.charmap as cm
 
     gamma = enumerate_mp(2, "theta", 4)[3]
     cm._power_theta_to_P_cols(gamma)
-    tables = (cm._VALUES, cm._TRANSPOSED)
+    caches = (cm._value, cm._transposed_value)
 
     def contents() -> list:
-        return [[(key, id(v)) for key, v in table.items()] for table in tables]
+        return [fn.cache_info() for fn in caches]
 
     found = contents()
-    assert found[0]
+    assert found[0].currsize
     char_table(4, 2)
     info = cm._power_theta_to_P_cols.cache_info()
     assert (info.currsize, info.hits, info.misses) == (1, 0, 1)
     assert contents() == found
-    # and likewise once the transpose has filled its tables
+    # and likewise once the transpose has filled its cache
     cm._P_to_power_theta_items(identity_class(2, 3))
     info, found = cm._power_theta_to_P_cols.cache_info(), contents()
-    assert all(found)
+    assert all(c.currsize for c in found)
     char_table(4, 2)
     assert cm._power_theta_to_P_cols.cache_info() == info
     assert contents() == found
@@ -1025,7 +1021,7 @@ def test_power_theta_to_P_values_are_the_shared_objects_of_their_stored_forms() 
             for (mu, v), (nu, w) in zip(first, again):
                 assert mu is nu and v is w
                 assert isinstance(v, Cyclotomic) and v.conductor == conductors[index[mu]]
-                assert cm._VALUES[(v.conductor, v.terms, v.den)] is v
+                assert cm._value(v.conductor, v.terms, v.den) is v
 
 
 @pytest.mark.parametrize("n, q", [(3, 3), (4, 2)])
@@ -1148,11 +1144,11 @@ def test_circ_product_of_indicators_is_stored_at_the_lcm_of_their_conductors() -
 def test_products_build_each_distinct_result_once(monkeypatch, fresh_transition_caches) -> None:
     # the 288 products pairs at q = 2: each map value is decomposed once per
     # _expand_linear call, each distinct result is built once while the
-    # result table holds it, and a one-term basis change (each factor's
-    # p_theta image) reads its results off its row, so the pairs make at most
-    # 2300 Cyclotomic constructions and 30000 _mul_into calls, with the
-    # caches cold and warm: 2204 and 29826 in a fresh process, 735 and 27387
-    # warm. Building each distinct result once per call made 8793
+    # result cache holds it, each distinct transposed value once, and a
+    # one-term basis change (each factor's p_theta image) reads its results
+    # off its row, so the pairs make at most 2300 Cyclotomic constructions
+    # and 30000 _mul_into calls, with the caches cold and warm: 2076 and
+    # 29826 in a fresh process, 735 and 27387 warm. Building each distinct result once per call made 8793
     # constructions cold and 8239 warm; reducing one-term changes through the
     # integer kernel made 13817 and 39126 cold, 13263 and 36687 warm;
     # decomposing per item and building per result made 25099 constructions
@@ -1200,33 +1196,61 @@ def _products_pairs() -> list:
     return pairs
 
 
-def test_result_table_entries_are_fresh_builds_of_their_keys(fresh_transition_caches) -> None:
+def _recorded_built_keys(monkeypatch) -> list[tuple]:
+    """The keys ``_expand_linear`` looks up in the result cache from now on,
+    in call order; the cache itself still serves every lookup."""
+    import ennola.charmap as cm
+
+    keys: list[tuple] = []
+    built = cm._built
+
+    def recording(*key):
+        keys.append(key)
+        return built(*key)
+
+    monkeypatch.setattr(cm, "_built", recording)
+    return keys
+
+
+def test_result_table_entries_are_fresh_builds_of_their_keys(
+    monkeypatch, fresh_transition_caches
+) -> None:
     # a hit returns what a fresh build of its key returns
     import ennola.charmap as cm
     from ennola.exactnum import _reduced
 
+    built = cm._built
+    keys = _recorded_built_keys(monkeypatch)
     for ma, mb in _products_pairs():
         a, b = pi_class(ma), pi_class(mb)
         assert star_product(a, b) == circ_product(a, b)
-    assert 0 < len(cm._BUILT) <= cm._BUILT_MAX
-    for (big, den, raw), v in cm._BUILT.items():
+    info = built.cache_info()
+    assert 0 < info.currsize <= cm._BUILT_MAX == info.maxsize == 4096
+    for big, den, raw in dict.fromkeys(keys):
         assert list(raw) == sorted(raw)
+        v = built(big, den, raw)
         fresh = Cyclotomic(big, _reduced(big, raw), den)
         assert (v.conductor, v.terms, v.den) == (fresh.conductor, fresh.terms, fresh.den)
+    # every key was still held, so each second lookup was a hit
+    assert built.cache_info().misses == info.misses
 
 
-def test_one_vector_from_two_calls_is_one_object(fresh_transition_caches) -> None:
+def test_one_vector_from_two_calls_is_one_object(monkeypatch, fresh_transition_caches) -> None:
     # circ_product commutes, and each factor order accumulates the same
-    # vectors in its own order; sorted terms key both to one table entry
+    # vectors in its own order; sorted terms key both to one cache entry
     import ennola.charmap as cm
 
+    built = cm._built
+    keys = _recorded_built_keys(monkeypatch)
     f0, f1 = OrbitId("phi", 2, 1, 0), OrbitId("phi", 2, 1, 1)
     a = pi_class(MultiPartition("phi", 2, ((f0, (1,)), (f1, (1,)))))
     b = pi_class(MultiPartition("phi", 2, ((f0, (2,)),)))
     ab, ba = circ_product(a, b), circ_product(b, a)
     assert ab.coeffs and ab.coeffs.keys() == ba.coeffs.keys()
     assert all(ab.coeffs[k] is ba.coeffs[k] for k in ab.coeffs)
-    table = {id(v) for v in cm._BUILT.values()}
+    misses = built.cache_info().misses
+    table = {id(built(*key)) for key in keys}
+    assert built.cache_info().misses == misses
     assert all(id(v) in table for v in ab.coeffs.values())
 
 
@@ -1234,12 +1258,12 @@ def test_result_table_never_exceeds_its_bound(monkeypatch, fresh_transition_cach
     # evictions leave the results unchanged
     import ennola.charmap as cm
 
-    monkeypatch.setattr(cm, "_BUILT_MAX", 64)
+    monkeypatch.setattr(cm, "_built", lru_cache(64)(cm._built.__wrapped__))
     for ma, mb in _products_pairs():
         a, b = pi_class(ma), pi_class(mb)
         assert star_product(a, b) == circ_product(a, b)
-        assert len(cm._BUILT) <= 64
-    assert len(cm._BUILT) == 64
+        assert cm._built.cache_info().currsize <= 64
+    assert cm._built.cache_info().currsize == 64
 
 
 def test_hall_combine_items_classes_are_the_enumerated_objects(fresh_transition_caches) -> None:
@@ -1253,6 +1277,43 @@ def test_hall_combine_items_classes_are_the_enumerated_objects(fresh_transition_
                 for mb in enumerate_mp(q, "phi", nb):
                     items = cm._hall_combine_items(ma, mb)
                     assert items and all(objects[lam] is lam for lam, _ in items)
+
+
+def _module_containers() -> dict[tuple[str, str], tuple[int, int]]:
+    """The id and length of every module-level dict, list and set in the
+    library's modules, but ``__main__``, which runs the command line."""
+    import importlib
+    import pkgutil
+    import sys
+
+    import ennola
+
+    for info in pkgutil.iter_modules(ennola.__path__):
+        if info.name != "__main__":
+            importlib.import_module(f"ennola.{info.name}")
+    return {
+        (name, key): (id(value), len(value))
+        for name, mod in list(sys.modules.items())
+        if name.partition(".")[0] == "ennola" and name != "ennola.__main__"
+        for key, value in vars(mod).items()
+        if not key.startswith("__") and isinstance(value, (dict, list, set))
+    }
+
+
+def test_process_wide_memos_are_functools_caches(fresh_transition_caches) -> None:
+    # every memo that outlives a call is a functools cache, which cache_info
+    # reports and cache_clear empties: no module-level container changes
+    # while products, a table and Deligne-Lusztig characters are computed
+    before = _module_containers()
+    assert ("ennola.charmap", "_STEPS") in before
+    for ma in enumerate_mp(2, "phi", 2):
+        for mb in enumerate_mp(2, "phi", 1):
+            a, b = pi_class(ma), pi_class(mb)
+            assert star_product(a, b) == circ_product(a, b)
+    char_table(3, 3)
+    for nu in enumerate_mp(3, "theta", 2):
+        dl_character(nu)
+    assert _module_containers() == before
 
 
 # Coefficients at conductors outside conductor(2, n), mixed with rational ones

@@ -77,6 +77,17 @@ def test_reprs_name_each_field() -> None:
     )
 
 
+def test_a_plain_record_takes_its_fields_by_position() -> None:
+    from ennola.multipartitions import TorusLabel
+
+    lam = MultiPartition("theta", 2, {OrbitId("theta", 2, 1, 0): (2, 1)})
+    label = TorusLabel(lam, (2, 1), 2, 3)
+    assert (label.gamma, label.factors, label.z, label.weyl_class_size) == (lam, (2, 1), 2, 3)
+    for values in [(lam, (2, 1), 2), (lam, (2, 1), 2, 3, 4)]:
+        with pytest.raises(TypeError, match="TorusLabel takes 4 fields, got"):
+            TorusLabel(*values)
+
+
 def test_importing_the_library_loads_no_heavy_stdlib_modules() -> None:
     # dataclasses pulls in inspect, ast, dis and tokenize, none of which the
     # command line needs; each cold call would pay for them
