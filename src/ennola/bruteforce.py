@@ -47,21 +47,59 @@ MAX_FIELD_ORDER = 1 << 16
 IntPoly = tuple[int, ...]
 
 
+# Miller-Rabin with the first twelve primes as bases is deterministic below
+# this bound (Sorenson and Webster, 2015), so every q under it splits exactly
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+MAX_Q = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality for n < ``MAX_Q``."""
+    if n < 2:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def _prime_power(q: int) -> tuple[int, int]:
-    """Split q as p^e with p prime; ValueError otherwise."""
+    """Split q as p^e with p prime; ValueError otherwise.
+
+    For each e the only candidate p is the integer e-th root of q, and it is
+    tested by ``_is_prime``, so the split costs O(log q) root extractions and
+    primality tests; q at or above ``MAX_Q`` is refused with a ValueError that
+    names the bound.
+    """
     if q < 2:
         raise ValueError(f"{q} is not a prime power")
-    for p in range(2, math.isqrt(q) + 1):
-        if q % p == 0:
-            e = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                e += 1
-            if m != 1:
-                raise ValueError(f"{q} is not a prime power")
+    if q >= MAX_Q:
+        raise ValueError(
+            f"q = {q} is at least MAX_Q = {MAX_Q}, the bound of the exact prime-power test"
+        )
+    if _is_prime(q):
+        return q, 1
+    for e in range(2, q.bit_length()):
+        # below MAX_Q an integer e-th root is at most 2^41, and the float root
+        # is within 10^-3 of it, so rounding finds it
+        p = round(q ** (1 / e))
+        if p**e == q and _is_prime(p):
             return p, e
-    return q, 1
+    raise ValueError(f"{q} is not a prime power")
 
 
 def _ptrim(a: list[int]) -> IntPoly:

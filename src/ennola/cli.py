@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import argparse
 import csv
-import itertools
 import json
 import math
 import sys
 import time
 from collections.abc import Callable
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .bruteforce import (
     DEFAULT_MAX_ORDER,
@@ -147,14 +147,72 @@ def float_text(z: complex) -> str:
     return f"{re:.10g}{'+' if im > 0 else '-'}{abs(im):.10g}i"
 
 
+def _json_key(key) -> str:
+    """A dict key as ``json.dumps`` writes it: str, int, float, bool and None
+    keys become strings; any other key is a TypeError."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if key is None or isinstance(key, (int, float)):
+        return encode_basestring_ascii(json.dumps(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _json_text(o, level: int, memo: dict, keep: bool = True) -> str:
+    """``json.dumps(o, indent=2)`` for a value nested ``level`` deep.
+
+    Each list or dict is one ``join``. A dict's text is kept in ``memo`` by
+    (id, level), unless ``keep`` is false, so a dict that the document shares,
+    like the value dicts of ``CharTable.rendered``, is encoded once per depth;
+    the caller keeps the document alive, so no id is reused while ``memo``
+    lives.
+    """
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None or o is True or o is False or isinstance(o, float):
+        return json.dumps(o)
+    if isinstance(o, int):
+        return int.__repr__(o)
+    outer = "\n" + "  " * level
+    inner = outer + "  "
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        body = [_json_text(v, level + 1, memo) for v in o]
+        return "[" + inner + ("," + inner).join(body) + outer + "]"
+    if not isinstance(o, dict):
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+    text = memo.get((id(o), level))
+    if text is None:
+        if not o:
+            return "{}"
+        body = [_json_key(k) + ": " + _json_text(v, level + 1, memo) for k, v in o.items()]
+        text = "{" + inner + ("," + inner).join(body) + outer + "}"
+        if keep:
+            memo[id(o), level] = text
+    return text
+
+
 def _emit_json(doc: dict) -> None:
-    # written in batches of encoder chunks: the indented encoder yields many
-    # small ones, json.dumps holds them all at once (2.5 GB for chartable
-    # --n 4 --q 3), and writing each one to stdout doubles the time
-    chunks = json.JSONEncoder(indent=2).iterencode(doc)
-    while batch := "".join(itertools.islice(chunks, 1 << 16)):
-        sys.stdout.write(batch)
-    sys.stdout.write("\n")
+    # the same bytes as json.dumps(doc, indent=2) + "\n", written one top-level
+    # entry at a time, and a top-level list one element at a time; no such
+    # piece is kept once written, so no whole-document string exists: at
+    # chartable --n 4 --q 3 that string is 369 MB, while its 35344 cells hold
+    # 512 distinct value dicts, each encoded once
+    write = sys.stdout.write
+    memo: dict = {}
+    sep = "{\n  "
+    for key, value in doc.items():
+        write(sep + _json_key(key) + ": ")
+        sep = ",\n  "
+        if isinstance(value, (list, tuple)) and value:
+            item_sep = "[\n    "
+            for item in value:
+                write(item_sep + _json_text(item, 2, memo, keep=False))
+                item_sep = ",\n    "
+            write("\n  ]")
+        else:
+            write(_json_text(value, 1, memo, keep=False))
+    write("\n}\n" if doc else "{}\n")
 
 
 def _emit_csv(header: list[str], rows: list[list[str]]) -> None:

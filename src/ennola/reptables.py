@@ -227,35 +227,36 @@ def even_degree_sum(m: int, q: int) -> int:
     return total
 
 
-def _unit_element(q: int) -> SymElement:
+def _unit_element(q: int, basis: str) -> SymElement:
     empty = MultiPartition("theta", q, ())
-    return SymElement(q, 0, "s_theta", {empty: Cyclotomic.from_rational(1)})
+    return SymElement(q, 0, basis, {empty: Cyclotomic.from_rational(1)})
 
 
 def gelfand_graev(m: int, q: int) -> SymElement:
     """Image of the Gelfand-Graev character under the characteristic map.
 
-    Computed from its power-sum form: the signed sum of p over all labels
-    weighted by inverse centralizer orders in the blockwise symmetric groups.
-    In the Schur basis the support is exactly the height-one labels.
+    Computed and returned in its power-sum form (``p_theta``): the signed sum
+    of p over all labels weighted by inverse centralizer orders in the
+    blockwise symmetric groups. Its Schur expansion is checked to have
+    exactly the height-one labels as support, each with coefficient
+    (-1)^(m // 2); callers that need that basis rewrite it with ``to_basis``.
     """
     if m < 0:
         raise ValueError("rank must be nonnegative")
     if m == 0:
-        return _unit_element(q)
+        return _unit_element(q, "p_theta")
     sign = (-1) ** (m // 2)
     coeffs = {}
     for gamma in enumerate_mp(q, "theta", m):
         z = math.prod(z_stat(block) for _, block in gamma.assignment)
         coeffs[gamma] = Cyclotomic.from_rational(Fraction(sign, z))
     element = SymElement(q, m, "p_theta", coeffs)
-    out = to_basis(element, "s_theta")
-    for lam, v in out.coeffs.items():
+    for lam, v in to_basis(element, "s_theta").coeffs.items():
         ht = mp_stats(lam).height
         expect = sign if ht == 1 else 0
         if not (v.is_rational() and v.rational_value() == expect):
             raise AssertionError("Gelfand-Graev support is not the height-one labels")
-    return out
+    return element
 
 
 def irreducible_multiplicities(elem: SymElement) -> dict[CharLabel, Fraction]:
@@ -285,7 +286,7 @@ def sp_induction(r: int, q: int, allow_even_q: bool = False) -> SymElement:
     if q % 2 == 0 and not allow_even_q:
         raise ValueError("the symplectic decomposition is proven for odd q only")
     if r == 0:
-        return _unit_element(q)
+        return _unit_element(q, "s_theta")
     coeffs = {}
     for lam in enumerate_mp(q, "theta", 2 * r):
         if is_even_conjugate(lam):

@@ -7,12 +7,14 @@ cyclic groups.
 
 from __future__ import annotations
 
+import random
 import time
 
 import pytest
 
 from ennola.bruteforce import (
     MAX_FIELD_ORDER,
+    MAX_Q,
     ClassRepresentative,
     UMatrix,
     _prime_power,
@@ -85,11 +87,22 @@ def test_field_rejects_bad_arguments() -> None:
         field(2, 0)
 
 
-@pytest.mark.parametrize("q", [1000000007, 999999999989])
+@pytest.mark.parametrize(
+    # the last is the largest prime below MAX_Q
+    "q", [1000000007, 999999999989, 10**18 + 3, 3317044064679887385961813]
+)
 def test_a_large_prime_splits_at_once(q: int) -> None:
-    # trial division stops at the square root of q
+    # one Miller-Rabin test, no trial division
     start = time.perf_counter()
     assert _prime_power(q) == (q, 1)
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("p,e", [(1000003, 4), (3, 50), (2, 81), (10**9 + 7, 2)])
+def test_a_large_prime_power_splits_at_once(p: int, e: int) -> None:
+    # one integer root and one primality test per exponent
+    start = time.perf_counter()
+    assert _prime_power(p**e) == (p, e)
     assert time.perf_counter() - start < 1
 
 
@@ -99,10 +112,47 @@ def test_prime_power_splits() -> None:
     ]
 
 
-@pytest.mark.parametrize("q", [6, 12, 1000000006, 0, 1])
+@pytest.mark.parametrize(
+    "q",
+    [
+        6, 12, 1000000006, 0, 1,
+        6 * 10**17,
+        # Carmichael numbers and a strong pseudoprime to the bases 2, 3, 5, 7
+        561, 3215031751,
+        1000003**2 * 1000033,
+        2**40 * 3,
+        (10**18 + 3) * 2,
+    ],
+)
 def test_prime_power_refuses_other_numbers(q: int) -> None:
-    with pytest.raises(ValueError, match=f"{q} is not a prime power"):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"^{q} is not a prime power$"):
         _prime_power(q)
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("q", [MAX_Q, MAX_Q + 1, 10**30])
+def test_prime_power_refuses_q_from_its_bound_on(q: int) -> None:
+    # the first twelve prime bases make Miller-Rabin exact only below MAX_Q
+    with pytest.raises(ValueError, match=f"MAX_Q = {MAX_Q}"):
+        _prime_power(q)
+
+
+def test_prime_power_agrees_with_sympy() -> None:
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(30)
+    qs = list(range(2, 3000))
+    qs += [rng.randrange(2, MAX_Q) for _ in range(300)]
+    primes = [int(sympy.nextprime(rng.randrange(2, 10**k))) for k in (3, 6, 8) for _ in range(30)]
+    qs += [p ** rng.randrange(1, 4) for p in primes]
+    for q in qs:
+        # sympy's largest perfect power has a prime base exactly when q = p^e
+        power = (q, 1) if sympy.isprime(q) else sympy.perfect_power(q)
+        if power and sympy.isprime(power[0]):
+            assert _prime_power(q) == tuple(map(int, power)), q
+        else:
+            with pytest.raises(ValueError):
+                _prime_power(q)
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -10,7 +11,11 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ennola import cli
+from ennola.bruteforce import MAX_Q
 from ennola.cli import cyc_text, float_text, main, mp_text, qpoly_text
 from ennola.exactnum import Cyclotomic, QPoly
 from ennola.multipartitions import MultiPartition, enumerate_mp
@@ -59,6 +64,78 @@ def test_float_text_rounding():
     assert float_text(complex(-0.5, 0.8660254037844387)) == "-0.5+0.8660254038i"
     assert float_text(complex(0.0, -1.0)) == "0-1i"
     assert float_text(complex(-0.0, 0.0)) == "0"
+
+
+
+# ------------------------------------------------------------- json writer
+
+
+def emitted(doc: dict) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit_json(doc)
+    return out.getvalue()
+
+
+_KEYS = st.text() | st.integers(-(10**20), 10**20) | st.floats() | st.booleans() | st.none()
+_SCALARS = (
+    st.integers(-(10**30), 10**30)
+    | st.text()
+    | st.sampled_from(["", "\u00e9\u4e2d\U0001f600", '"\\\n\x00\x7f'])
+    | st.booleans()
+    | st.none()
+    | st.floats()
+)
+
+
+def _nested(leaves):
+    return st.recursive(
+        leaves,
+        lambda kids: st.lists(kids, max_size=4)
+        | st.lists(kids, max_size=4).map(tuple)
+        | st.dictionaries(_KEYS, kids, max_size=4),
+        max_leaves=25,
+    )
+
+
+@st.composite
+def _documents(draw):
+    # one dict object that the document holds at several positions and depths
+    shared = draw(st.dictionaries(st.text(), _nested(_SCALARS), max_size=3))
+    values = _nested(_SCALARS | st.just(shared) | st.just({}) | st.just([]))
+    return draw(st.dictionaries(_KEYS, values, max_size=6))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_documents())
+def test_json_writer_matches_json_dumps(doc):
+    assert emitted(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+def test_json_writer_encodes_a_shared_dict_once(monkeypatch):
+    coeffs = [[1, 2], [0, 1]]
+    shared = {"N": 3, "coeffs": coeffs}
+    doc = {"values": [[shared] * 50 for _ in range(4)], "one": shared}
+    seen = []
+    encode = cli._json_text
+
+    def counting(o, level, memo, keep=True):
+        if o is coeffs:
+            seen.append(level)
+        return encode(o, level, memo, keep)
+
+    monkeypatch.setattr(cli, "_json_text", counting)
+    assert emitted(doc) == json.dumps(doc, indent=2) + "\n"
+    # once inside the grid's cells, once under the top-level entry
+    assert seen == [4, 2]
+
+
+@pytest.mark.parametrize("doc", [{"a": Fraction(1, 2)}, {"a": {(1, 2): 3}}, {"a": [{1j: 0}]}])
+def test_json_writer_refuses_what_json_refuses(doc):
+    with pytest.raises(TypeError):
+        json.dumps(doc, indent=2)
+    with pytest.raises(TypeError):
+        emitted(doc)
 
 
 # ------------------------------------------------------------ data commands
@@ -683,6 +760,25 @@ def test_brute_refusals_exit_two_at_once_and_name_their_bound(capsys, argv, erro
     assert time.perf_counter() - start < 1
     assert code == 2 and out == ""
     assert json.loads(err.strip().splitlines()[-1])["error"] == error
+
+
+def test_a_large_prime_q_is_validated_at_once(capsys):
+    q = 10**18 + 3
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "verify", "divsum", "--q", str(q), "--m", "1")
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert out == f"PASS divsum: sum of r*d_r equals q^m - (-1)^m for m up to 1 at q={q}\n"
+
+
+@pytest.mark.parametrize("q", [MAX_Q, 10**40 + 1])
+def test_q_from_the_prime_power_bound_on_exits_two_and_names_it(capsys, q):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "divsum", "--q", str(q), "--m", "1")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    error = json.loads(err.strip().splitlines()[-1])["error"]
+    assert f"MAX_Q = {MAX_Q}" in error
 
 
 def test_verify_all_names_the_bound_on_its_skip_lines(capsys):

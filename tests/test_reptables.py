@@ -184,7 +184,10 @@ def test_degree_records_shape() -> None:
 
 @pytest.mark.parametrize("q,m", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)])
 def test_gelfand_graev_support(q: int, m: int) -> None:
-    mults = irreducible_multiplicities(gelfand_graev(m, q))
+    element = gelfand_graev(m, q)
+    # returned in power sums, the basis circ_product reads
+    assert element.basis == "p_theta"
+    mults = irreducible_multiplicities(element)
     support = {label for label, v in mults.items() if v}
     expect = {
         CharLabel(lam)
@@ -210,6 +213,13 @@ def test_gelfand_graev_rank_one_is_everything() -> None:
         lam.sort_key() for lam in enumerate_mp(2, "theta", 1)
     )
     assert all(v == 1 for v in mults.values())
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_gelfand_graev_rank_zero_is_the_unit(q: int) -> None:
+    unit = gelfand_graev(0, q)
+    assert unit.basis == "p_theta"
+    assert unit == sp_induction(0, q, allow_even_q=True)
 
 
 def test_sp_induction_rank_one() -> None:
