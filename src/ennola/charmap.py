@@ -974,6 +974,15 @@ def star_product(a: SymElement, b: SymElement) -> SymElement:
     return SymElement(a.q, a.n + b.n, "pi", acc)
 
 
+@cache
+def _concat(g1: MultiPartition, g2: MultiPartition) -> MultiPartition:
+    """The torus label gamma_1 gamma_2: the shared ``mp_of_blocks`` object of
+    the sorted union of the two labels' (size, residue, part) blocks, built
+    once per ordered pair of labels for the whole process."""
+    key = [(orb.size, orb.residue, c) for g in (g1, g2) for orb, lam in g.assignment for c in lam]
+    return mp_of_blocks(g1.kind, g1.q, tuple(sorted(key)))
+
+
 def circ_product(a: SymElement, b: SymElement) -> SymElement:
     """Deligne-Lusztig induction product of class functions.
 
@@ -990,20 +999,16 @@ def circ_product(a: SymElement, b: SymElement) -> SymElement:
     conductors the two factors' coefficients carry, each reduced once and
     written at L; for two class indicators, L is lcm(e_mu1, e_mu2).
     gamma_1 gamma_2 is the multipartition of the sorted union of the two
-    labels' (size, residue, part) blocks.
+    labels' (size, residue, part) blocks. It comes from ``_concat``, a
+    process-wide ``functools`` cache keyed by the two labels (gamma_1,
+    gamma_2) that holds one entry per ordered label pair multiplied, so each
+    concatenation is sorted and looked up once per process.
     """
     if a.q != b.q:
         raise ValueError("mismatched q")
-    q = a.q
     left, right = (to_basis(elem, "p_theta").coeffs for elem in (a, b))
 
-    def blocks(g: MultiPartition) -> tuple:
-        return tuple((orb.size, orb.residue, c) for orb, lam in g.assignment for c in lam)
-
-    right_blocks = [(blocks(g), v) for g, v in right.items()]
-
     def times_right(g1: MultiPartition) -> list:
-        k1 = blocks(g1)
-        return [(mp_of_blocks("theta", q, tuple(sorted(k1 + k2))), v) for k2, v in right_blocks]
+        return [(_concat(g1, g2), v) for g2, v in right.items()]
 
-    return SymElement(q, a.n + b.n, "p_theta", _expand_linear(left, times_right))
+    return SymElement(a.q, a.n + b.n, "p_theta", _expand_linear(left, times_right))

@@ -149,10 +149,21 @@ class MPStats(NamedTuple):
 
 @cache
 def mp_conjugate(nu: MultiPartition) -> MultiPartition:
-    """Blockwise partition conjugation, one shared object per argument."""
-    return MultiPartition(
-        nu.kind, nu.q, tuple((orb, conjugate(lam)) for orb, lam in nu.assignment)
+    """Blockwise partition conjugation: the shared ``mp_of_blocks`` object of
+    the conjugated sorted block key, so equal arguments give one object, the
+    one ``enumerate_mp`` lists, and conjugating a shared object twice returns
+    it. The cache is keyed by the argument.
+
+    >>> nu = enumerate_mp(2, "theta", 3)[0]
+    >>> any(mu is mp_conjugate(nu) for mu in enumerate_mp(2, "theta", 3))
+    True
+    >>> mp_conjugate(mp_conjugate(nu)) is nu
+    True
+    """
+    key = tuple(
+        (orb.size, orb.residue, p) for orb, lam in nu.assignment for p in reversed(conjugate(lam))
     )
+    return mp_of_blocks(nu.kind, nu.q, key)
 
 
 @cache

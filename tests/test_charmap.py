@@ -532,7 +532,7 @@ def fresh_transition_caches():
 
     caches = (
         cm._columns, cm._green_cols, cm._power_theta_to_P_cols, cm._transposed, cm._hall_options,
-        cm._value, cm._transposed_value, cm._built,
+        cm._value, cm._transposed_value, cm._built, cm._concat,
     )
     for fn in caches:
         fn.cache_clear()
@@ -1277,6 +1277,50 @@ def test_hall_combine_items_classes_are_the_enumerated_objects(fresh_transition_
                 for mb in enumerate_mp(q, "phi", nb):
                     items = cm._hall_combine_items(ma, mb)
                     assert items and all(objects[lam] is lam for lam, _ in items)
+
+
+def _merged_label(g1: MultiPartition, g2: MultiPartition) -> MultiPartition:
+    """gamma_1 gamma_2 through the public constructor: each orbit's parts
+    from both labels, merged into one partition."""
+    parts: dict[OrbitId, list[int]] = {}
+    for g in (g1, g2):
+        for orb, lam in g.assignment:
+            parts.setdefault(orb, []).extend(lam)
+    return MultiPartition(
+        g1.kind, g1.q, {orb: tuple(sorted(ps, reverse=True)) for orb, ps in parts.items()}
+    )
+
+
+@pytest.mark.parametrize("q, max_size", [(2, 4), (3, 3)])
+def test_concatenation_is_the_merged_enumerated_label(q, max_size, fresh_transition_caches) -> None:
+    import ennola.charmap as cm
+
+    labels = {n: enumerate_mp(q, "theta", n) for n in range(1, max_size)}
+    pairs = 0
+    for na, nb in itertools.product(labels, repeat=2):
+        if na + nb > max_size:
+            continue
+        objects = {mp: mp for mp in enumerate_mp(q, "theta", na + nb)}
+        for g1 in labels[na]:
+            for g2 in labels[nb]:
+                gamma = cm._concat(g1, g2)
+                assert gamma == _merged_label(g1, g2), (g1, g2)
+                assert objects[gamma] is gamma
+                assert cm._concat(g2, g1) is gamma
+                pairs += 1
+    assert cm._concat.cache_info().currsize == pairs
+
+
+def test_products_pairs_concatenate_each_label_pair_once(fresh_transition_caches) -> None:
+    # one distinct ordered label pair per class pair, each built on its
+    # miss; every other of the 14517 concatenations is a hit
+    import ennola.charmap as cm
+
+    for ma, mb in _products_pairs():
+        circ_product(pi_class(ma), pi_class(mb))
+    info = cm._concat.cache_info()
+    assert info.misses == info.currsize == 288
+    assert info.hits + info.misses == 14517
 
 
 def _module_containers() -> dict[tuple[str, str], tuple[int, int]]:

@@ -153,6 +153,22 @@ def test_mp_conjugate_involution():
         assert mp_conjugate(mp_conjugate(mp)) == mp
 
 
+def test_mp_conjugate_returns_the_enumerated_objects():
+    # the conjugate is the enumerated object, and conjugating it gives back
+    # the very object it came from
+    def columns(lam):
+        return tuple(sum(1 for v in lam if v > i) for i in range(lam[0]))
+
+    q, n = 3, 3
+    for kind in ("theta", "phi"):
+        objects = {mu: mu for mu in enumerate_mp(q, kind, n)}
+        for mu in objects:
+            nu = mp_conjugate(mu)
+            assert nu == MultiPartition(kind, q, {orb: columns(lam) for orb, lam in mu.assignment})
+            assert objects[nu] is nu
+            assert mp_conjugate(nu) is mu
+
+
 def test_semisimple_and_unipotent_parts():
     mu = _example_18()
     ss = semisimple_part(mu)
